@@ -459,8 +459,10 @@ func TestLiveRoutesWithoutStream(t *testing.T) {
 
 // TestGracefulShutdownDrainsInflight proves Shutdown lets an in-flight
 // request finish: an /ingest POST whose body arrives only after Shutdown
-// is called must still complete with 200, while fresh connections are
-// refused.
+// has closed the listener must still complete with 200, while fresh
+// connections are refused. Each step waits on an explicit signal: the
+// handler entering, then Shutdown's hooks starting (which happens after
+// the listeners are closed).
 func TestGracefulShutdownDrainsInflight(t *testing.T) {
 	stream, err := thirstyflops.NewStream("", 0, 24)
 	if err != nil {
@@ -471,7 +473,16 @@ func TestGracefulShutdownDrainsInflight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := &http.Server{Handler: h}
+	entered := make(chan struct{}, 1)
+	srv := &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case entered <- struct{}{}:
+		default:
+		}
+		h.ServeHTTP(w, r)
+	})}
+	closing := make(chan struct{})
+	srv.RegisterOnShutdown(func() { close(closing) })
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -501,9 +512,15 @@ func TestGracefulShutdownDrainsInflight(t *testing.T) {
 		io.Copy(io.Discard, resp.Body)
 		inflight <- result{resp.StatusCode, nil}
 	}()
-	// Ensure the request headers reached the server before shutting down.
+	// Send part of the body, then wait until the handler is running, so
+	// the request is in flight before Shutdown starts.
 	if _, err := pw.Write([]byte(`{"hour":0,`)); err != nil {
 		t.Fatal(err)
+	}
+	select {
+	case <-entered:
+	case got := <-inflight:
+		t.Fatalf("request finished before reaching the handler: %+v", got)
 	}
 
 	shutdownDone := make(chan error, 1)
@@ -511,8 +528,8 @@ func TestGracefulShutdownDrainsInflight(t *testing.T) {
 	defer cancel()
 	go func() { shutdownDone <- srv.Shutdown(shutCtx) }()
 
-	// Give Shutdown a moment to close the listener, then finish the body.
-	time.Sleep(50 * time.Millisecond)
+	// Finish the body only once Shutdown has closed the listener.
+	<-closing
 	if _, err := pw.Write([]byte(`"power_w":1e6}`)); err != nil {
 		t.Fatal(err)
 	}

@@ -243,6 +243,26 @@ func TestHourlyYearBasics(t *testing.T) {
 	}
 }
 
+func TestSharesAccessors(t *testing.T) {
+	m := Mix{Coal: 0.25, Solar: 0.75}.shares()
+	if m.Share(Solar) != 0.75 || m.Share(Gas) != 0 || m.Share(Source(99)) != 0 {
+		t.Errorf("Share lookups wrong: %v", m)
+	}
+	if err := m.Validate(); err != nil {
+		t.Errorf("valid shares rejected: %v", err)
+	}
+	m[Gas] = -0.1
+	if err := m.Validate(); err == nil {
+		t.Error("negative share accepted")
+	}
+	if err := (Shares{}).Validate(); err == nil {
+		t.Error("empty shares accepted")
+	}
+	if z := (Shares{}).normalized(); z != (Shares{}) {
+		t.Errorf("all-zero shares changed by normalized: %v", z)
+	}
+}
+
 func TestHourlyYearDeterminism(t *testing.T) {
 	a := Japan().HourlyYear(5)
 	b := Japan().HourlyYear(5)

@@ -14,23 +14,7 @@ import (
 type Mix map[Source]float64
 
 // Validate checks that shares are non-negative and sum to 1 within tol.
-func (m Mix) Validate() error {
-	sum := 0.0
-	for _, s := range AllSources() {
-		w, ok := m[s]
-		if !ok {
-			continue
-		}
-		if w < 0 {
-			return fmt.Errorf("energy: negative share %v for %v", w, s)
-		}
-		sum += w
-	}
-	if math.Abs(sum-1) > 1e-6 {
-		return fmt.Errorf("energy: mix shares sum to %v, want 1", sum)
-	}
-	return nil
-}
+func (m Mix) Validate() error { return m.shares().Validate() }
 
 // Normalized returns a copy of the mix rescaled to sum to 1. A mix whose
 // total share is zero is returned unchanged. Accumulation runs in the
@@ -58,6 +42,18 @@ func (m Mix) Normalized() Mix {
 	return out
 }
 
+// shares resolves the mix into its fixed per-source array; keys outside
+// the modeled sources are dropped.
+func (m Mix) shares() Shares {
+	var out Shares
+	for s, w := range m {
+		if s.valid() {
+			out[s] = w
+		}
+	}
+	return out
+}
+
 // Clone returns an independent copy of the mix.
 func (m Mix) Clone() Mix {
 	out := make(Mix, len(m))
@@ -75,36 +71,28 @@ func (m Mix) Share(s Source) float64 { return m[s] }
 // region-specific factors (e.g. once-through-cooled nuclear fleets).
 // Accumulation runs in the stable source order for reproducibility.
 func (m Mix) EWF(overrides map[Source]units.LPerKWh) units.LPerKWh {
-	total := 0.0
-	for _, s := range AllSources() {
-		w, ok := m[s]
-		if !ok {
-			continue
-		}
-		f := float64(s.EWF())
-		if o, ok := overrides[s]; ok {
-			f = float64(o)
-		}
-		total += w * f
-	}
-	return units.LPerKWh(total)
+	f := factors(Source.EWF, overrides)
+	return units.LPerKWh(m.shares().weigh(&f))
 }
 
 // CarbonIntensity computes the share-weighted carbon intensity of the mix.
 func (m Mix) CarbonIntensity(overrides map[Source]units.GCO2PerKWh) units.GCO2PerKWh {
-	total := 0.0
-	for _, s := range AllSources() {
-		w, ok := m[s]
-		if !ok {
-			continue
-		}
-		f := float64(s.CarbonIntensity())
+	f := factors(Source.CarbonIntensity, overrides)
+	return units.GCO2PerKWh(m.shares().weigh(&f))
+}
+
+// factors resolves a per-source factor table: the Fig. 5 median of each
+// source, or its override when the map has one.
+func factors[F ~float64](median func(Source) F, overrides map[Source]F) (out [numSources]float64) {
+	for i := range out {
+		s := Source(i)
+		f := median(s)
 		if o, ok := overrides[s]; ok {
-			f = float64(o)
+			f = o
 		}
-		total += w * f
+		out[i] = float64(f)
 	}
-	return units.GCO2PerKWh(total)
+	return out
 }
 
 // RenewableShare returns the total share of renewable sources.
@@ -142,6 +130,67 @@ func (m Mix) String() string {
 		s += fmt.Sprintf("%s:%.1f%%", src, m[src]*100)
 	}
 	return s
+}
+
+// Shares is one hour's generation mix as a fixed array indexed by Source,
+// with absent sources at 0: the simulator's hourly counterpart of the
+// Mix map, which stays the configuration type.
+type Shares [numSources]float64
+
+// Share returns the fraction contributed by the source (0 if out of range).
+func (m Shares) Share(s Source) float64 {
+	if !s.valid() {
+		return 0
+	}
+	return m[s]
+}
+
+// Validate checks that shares are non-negative and sum to 1 within tol.
+func (m Shares) Validate() error {
+	sum := 0.0
+	for s, w := range m {
+		if w < 0 {
+			return fmt.Errorf("energy: negative share %v for %v", w, Source(s))
+		}
+		sum += w
+	}
+	if math.Abs(sum-1) > 1e-6 {
+		return fmt.Errorf("energy: mix shares sum to %v, want 1", sum)
+	}
+	return nil
+}
+
+// normalized returns the shares rescaled to sum to 1 with the arithmetic
+// of Mix.Normalized: negative shares count as 0, and shares whose total
+// is zero are returned unchanged.
+func (m Shares) normalized() Shares {
+	sum := 0.0
+	for _, w := range m {
+		if w > 0 {
+			sum += w
+		}
+	}
+	if sum == 0 {
+		return m
+	}
+	for s, w := range m {
+		if w < 0 {
+			w = 0
+		}
+		m[s] = w / sum
+	}
+	return m
+}
+
+// weigh returns the share-weighted sum of per-source factors (Eq. 7),
+// accumulated in source order. An absent source adds +0, which leaves
+// the sum exact because shares are non-negative and factors finite.
+func (m Shares) weigh(f *[numSources]float64) float64 {
+	total := 0.0
+	for s, w := range m {
+		total += w * f[s]
+	}
+	return total
 }
 
 // --- Scenario mixes (Sec. 5, Fig. 14) ---

@@ -57,7 +57,7 @@ type Region struct {
 // Hour is one hour of simulated grid state.
 type Hour struct {
 	Index  int // hour of year
-	Mix    Mix
+	Mix    Shares
 	EWF    units.LPerKWh
 	Carbon units.GCO2PerKWh
 }
@@ -124,11 +124,46 @@ func fingerprintMix(h *fingerprint.Hasher, m Mix) {
 // used to keep the base solar share an annual average.
 const solarDailyMean = 1.0 / math.Pi
 
+// solarDaylight is the solar day curve by hour of day, peaking at 13:00.
+var solarDaylight = func() (t [24]float64) {
+	for i := range t {
+		hourOfDay := float64(i)
+		t[i] = math.Max(0, math.Cos(2*math.Pi*(hourOfDay-13)/24))
+	}
+	return t
+}()
+
 // HourlyYear simulates one year of grid state at hourly resolution. The
 // same (region, seed) pair always produces the identical series.
 func (r Region) HourlyYear(seed uint64) []Hour {
-	rng := stats.NewRNG(seed ^ hashName(r.Name))
 	out := make([]Hour, stats.HoursPerYear)
+	r.generate(seed, func(h Hour) { out[h.Index] = h })
+	return out
+}
+
+// Signals simulates the same year as HourlyYear but keeps only its EWF
+// and carbon-intensity columns, the two signals an assessment consumes.
+func (r Region) Signals(seed uint64) ([]units.LPerKWh, []units.GCO2PerKWh) {
+	ewf := make([]units.LPerKWh, stats.HoursPerYear)
+	carbon := make([]units.GCO2PerKWh, stats.HoursPerYear)
+	r.generate(seed, func(h Hour) { ewf[h.Index], carbon[h.Index] = h.EWF, h.Carbon })
+	return ewf, carbon
+}
+
+// generate runs the hourly grid simulation, handing every hour to emit in
+// order. The base mix and factor overrides are resolved into per-source
+// arrays once, so the hourly loop does no map lookups or allocations.
+func (r Region) generate(seed uint64, emit func(Hour)) {
+	rng := stats.NewRNG(seed ^ hashName(r.Name))
+	base := r.Base.shares()
+	var variable [numSources]bool // dispatched from base; the balancer absorbs the rest
+	for s := range r.Base {
+		if s.valid() && s != r.Balancer {
+			variable[s] = true
+		}
+	}
+	ewfF := factors(Source.EWF, r.EWFOverrides)
+	carbonF := factors(Source.CarbonIntensity, r.CarbonOverrides)
 
 	// Slow AR(1) noise for hydrology (correlation time ~3 weeks) and a
 	// faster one for wind (~ half a day).
@@ -140,64 +175,57 @@ func (r Region) HourlyYear(seed uint64) []Hour {
 
 	for h := 0; h < stats.HoursPerYear; h++ {
 		day := float64(h) / 24.0
-		hourOfDay := float64(h % 24)
 
 		hydroNoise = hydroAR*hydroNoise + rng.NormMeanStd(0, hydroInnov)
 		windNoise = windAR*windNoise + rng.NormMeanStd(0, windInnov)
 
-		m := make(Mix, len(r.Base))
-		var variable float64
-		for _, s := range AllSources() {
-			base, ok := r.Base[s]
-			if !ok || s == r.Balancer {
+		var m Shares
+		var dispatched float64
+		for s, share := range base {
+			if !variable[s] {
 				continue
 			}
-			share := base
-			switch s {
+			switch Source(s) {
 			case Hydro:
 				// Availability is floored at 25 % of base: reservoirs keep
 				// minimum environmental flows even in dry winters.
 				avail := 1 + r.HydroSeasonality*math.Cos(2*math.Pi*(day-r.HydroPeakDay)/365) + hydroNoise
-				share = base * stats.Clamp(avail, 0.25, 2.2)
+				share = share * stats.Clamp(avail, 0.25, 2.2)
 			case Solar:
-				daylight := math.Max(0, math.Cos(2*math.Pi*(hourOfDay-13)/24))
 				season := 1 + r.SolarSeasonality*math.Cos(2*math.Pi*(day-172)/365)
-				share = base * daylight / solarDailyMean * stats.Clamp(season, 0, 2)
+				share = share * solarDaylight[h%24] / solarDailyMean * stats.Clamp(season, 0, 2)
 			case Wind:
-				share = base * stats.Clamp(1+windNoise, 0.05, 2.5)
+				share = share * stats.Clamp(1+windNoise, 0.05, 2.5)
 			}
 			m[s] = share
-			variable += share
+			dispatched += share
 		}
 		// The balancer absorbs whatever the others left uncovered. If the
 		// variable sources over-produce, everything is renormalized, which
 		// models exports/curtailment pro rata.
-		m[r.Balancer] = math.Max(0, 1-variable)
-		m = m.Normalized()
+		if r.Balancer.valid() {
+			m[r.Balancer] = math.Max(0, 1-dispatched)
+		}
+		m = m.normalized()
 
-		out[h] = Hour{
+		emit(Hour{
 			Index:  h,
 			Mix:    m,
-			EWF:    r.ewfAt(m, day),
-			Carbon: m.CarbonIntensity(r.CarbonOverrides),
-		}
+			EWF:    r.ewfAt(m, &ewfF, day),
+			Carbon: units.GCO2PerKWh(m.weigh(&carbonF)),
+		})
 	}
-	return out
 }
 
 // ewfAt computes the mix EWF with the seasonal hydro-evaporation boost
-// applied on top of any static overrides.
-func (r Region) ewfAt(m Mix, day float64) units.LPerKWh {
-	base := m.EWF(r.EWFOverrides)
-	if r.HydroEvapSummerBoost == 0 || m.Share(Hydro) == 0 {
+// applied on top of the resolved factors.
+func (r Region) ewfAt(m Shares, ewf *[numSources]float64, day float64) units.LPerKWh {
+	base := units.LPerKWh(m.weigh(ewf))
+	if r.HydroEvapSummerBoost == 0 || m[Hydro] == 0 {
 		return base
 	}
-	hydroF := float64(Hydro.EWF())
-	if o, ok := r.EWFOverrides[Hydro]; ok {
-		hydroF = float64(o)
-	}
 	boost := r.HydroEvapSummerBoost * math.Cos(2*math.Pi*(day-200)/365)
-	return base + units.LPerKWh(m.Share(Hydro)*hydroF*boost)
+	return base + units.LPerKWh(m[Hydro]*ewf[Hydro]*boost)
 }
 
 // AnnualEWF returns the hourly EWF values of a simulated year.
@@ -218,21 +246,25 @@ func AnnualCarbon(hours []Hour) []float64 {
 	return out
 }
 
-// MeanMix averages the hourly mixes of a simulated year.
+// MeanMix averages the hourly mixes of a simulated year. Sources with no
+// share in any hour are absent from the result.
 func MeanMix(hours []Hour) Mix {
 	if len(hours) == 0 {
 		return Mix{}
 	}
-	acc := make(Mix)
+	var acc Shares
 	for _, h := range hours {
 		for s, w := range h.Mix {
 			acc[s] += w
 		}
 	}
-	for s := range acc {
-		acc[s] /= float64(len(hours))
+	mean := make(Mix, numSources)
+	for s, w := range acc {
+		if w != 0 {
+			mean[Source(s)] = w / float64(len(hours))
+		}
 	}
-	return acc.Normalized()
+	return mean.Normalized()
 }
 
 // --- The four paper regions ---

@@ -42,6 +42,9 @@ func AllSources() []Source {
 	return out
 }
 
+// valid reports whether s is one of the modeled sources.
+func (s Source) valid() bool { return s >= 0 && s < numSources }
+
 var sourceNames = [...]string{
 	Coal:       "coal",
 	Gas:        "gas",
@@ -56,7 +59,7 @@ var sourceNames = [...]string{
 
 // String returns the lower-case source name.
 func (s Source) String() string {
-	if s < 0 || s >= numSources {
+	if !s.valid() {
 		return fmt.Sprintf("source(%d)", int(s))
 	}
 	return sourceNames[s]

@@ -57,8 +57,8 @@ type (
 
 // GridSignals is the compact projection of a simulated grid year that the
 // assessment loop consumes: the EWF and carbon-intensity channels without
-// the per-hour mix maps (which dominate the generation cost and would
-// dominate the cache footprint).
+// the per-hour source shares, which would grow each cached year from
+// ~140 KB to ~840 KB.
 type GridSignals struct {
 	EWF    []units.LPerKWh
 	Carbon []units.GCO2PerKWh
@@ -120,7 +120,7 @@ func Stats() cache.Stats {
 // unplanned substrate accounting.
 func WetBulbYear(s weather.Site, seed uint64) ([]units.Celsius, bool) {
 	v, hit, _ := current().wetBulb.Get(wetBulbKey{s, seed}, func() ([]units.Celsius, error) {
-		return weather.WetBulbSeries(s.HourlyYear(seed)), nil
+		return s.WetBulbYear(seed), nil
 	})
 	return v, hit
 }
@@ -172,16 +172,8 @@ func GridYear(r energy.Region, seed uint64) (GridSignals, bool) {
 	key := gridKey{region: h.Sum(), seed: seed}
 	h.Release()
 	v, hit, _ := current().grid.Get(key, func() (GridSignals, error) {
-		hours := r.HourlyYear(seed)
-		g := GridSignals{
-			EWF:    make([]units.LPerKWh, len(hours)),
-			Carbon: make([]units.GCO2PerKWh, len(hours)),
-		}
-		for i, hr := range hours {
-			g.EWF[i] = hr.EWF
-			g.Carbon[i] = hr.Carbon
-		}
-		return g, nil
+		ewf, carbon := r.Signals(seed)
+		return GridSignals{EWF: ewf, Carbon: carbon}, nil
 	})
 	return v, hit
 }
@@ -256,9 +248,10 @@ func (k Keys) Combined() fingerprint.Key {
 }
 
 // Cluster returns the component keys in the planner's clustering
-// priority: grid first (the most expensive year to regenerate — its
-// generation builds per-hour mix maps), then the WUE series, the
-// wet-bulb year it derives from, and the utilization year.
+// priority: grid first (the most expensive year to regenerate, its
+// hourly dispatch draws two noise terms and several cosines per hour),
+// then the WUE series, the wet-bulb year it derives from, and the
+// utilization year.
 func (k Keys) Cluster() [4]fingerprint.Key {
 	return [4]fingerprint.Key{k.Grid, k.WUE, k.WetBulb, k.Util}
 }

@@ -148,22 +148,47 @@ func (s Site) Fingerprint(h *fingerprint.Hasher) {
 	h.Float(s.NoiseStd)
 }
 
+// diurnalCos is the daily harmonic by hour of day: the daily maximum
+// falls around 15:00 local.
+var diurnalCos = func() (t [24]float64) {
+	for i := range t {
+		hourOfDay := float64(i)
+		t[i] = math.Cos(2 * math.Pi * (hourOfDay - 15) / 24.0)
+	}
+	return t
+}()
+
 // HourlyYear generates a deterministic 8760-hour weather series for the
 // site. The same (site, seed) pair always yields the identical series.
 func (s Site) HourlyYear(seed uint64) []Sample {
-	rng := stats.NewRNG(seed ^ hashName(s.Name))
 	out := make([]Sample, stats.HoursPerYear)
+	s.generate(seed, func(smp Sample) { out[smp.Hour] = smp })
+	return out
+}
+
+// WetBulbYear generates the same year as HourlyYear but keeps only its
+// wet-bulb column, the input of the cooling model.
+func (s Site) WetBulbYear(seed uint64) []units.Celsius {
+	out := make([]units.Celsius, stats.HoursPerYear)
+	s.generate(seed, func(smp Sample) { out[smp.Hour] = smp.WetBulb })
+	return out
+}
+
+// generate runs the hourly weather simulation, handing every sample to
+// emit in order.
+func (s Site) generate(seed uint64, emit func(Sample)) {
+	rng := stats.NewRNG(seed ^ hashName(s.Name))
 	// AR(1) noise: keeps hour-to-hour weather correlated like real fronts.
 	const ar = 0.96
 	noise := 0.0
 	innovStd := s.NoiseStd * math.Sqrt(1-ar*ar)
 	for h := 0; h < stats.HoursPerYear; h++ {
 		day := float64(h) / 24.0
-		hourOfDay := float64(h % 24)
+		seasonCos := math.Cos(2 * math.Pi * (day - s.WarmestDay) / 365.0)
+		dayCos := diurnalCos[h%24]
 
-		seasonal := float64(s.SeasonalAmp) * math.Cos(2*math.Pi*(day-s.WarmestDay)/365.0)
-		// Daily maximum around 15:00 local.
-		diurnal := float64(s.DiurnalAmp) * math.Cos(2*math.Pi*(hourOfDay-15)/24.0)
+		seasonal := float64(s.SeasonalAmp) * seasonCos
+		diurnal := float64(s.DiurnalAmp) * dayCos
 		noise = ar*noise + rng.NormMeanStd(0, innovStd)
 
 		temp := float64(s.MeanTemp) + seasonal + diurnal + noise
@@ -171,20 +196,19 @@ func (s Site) HourlyYear(seed uint64) []Sample {
 		// RH runs opposite the diurnal cycle (moist mornings, drier
 		// afternoons) and is mildly seasonal; add small weather noise.
 		rh := float64(s.MeanRH) +
-			s.SeasonalRHAmp*math.Cos(2*math.Pi*(day-s.WarmestDay)/365.0) -
-			10*math.Cos(2*math.Pi*(hourOfDay-15)/24.0) +
+			s.SeasonalRHAmp*seasonCos -
+			10*dayCos +
 			rng.NormMeanStd(0, 3)
 		rhC := units.RelativeHumidity(stats.Clamp(rh, 5, 99))
 
 		tC := units.Celsius(temp)
-		out[h] = Sample{
+		emit(Sample{
 			Hour:    h,
 			Temp:    tC,
 			RH:      rhC,
 			WetBulb: WetBulb(tC, rhC),
-		}
+		})
 	}
-	return out
 }
 
 // WetBulbSeries extracts just the wet-bulb series from a year of samples.

@@ -287,6 +287,8 @@ type (
 	Region = energy.Region
 	// GridHour is one simulated hour of grid state.
 	GridHour = energy.Hour
+	// GridShares is one simulated hour's mix as a per-source array.
+	GridShares = energy.Shares
 	// Scenario identifies a Fig. 14 energy-sourcing scenario.
 	Scenario = energy.Scenario
 )
