@@ -541,7 +541,9 @@ func (e *Engine) diskLookup(key fingerprint.Key) (core.Annual, bool) {
 		return core.Annual{}, false
 	}
 	e.diskHits.Add(1)
-	return a, true
+	// The record holds only the exported fields; rebuilding restores the
+	// carried water intensities (the aggregates come out identical).
+	return core.AnnualFrom(a.System, a.Hourly), true
 }
 
 // diskAppend writes a freshly simulated year through to the log. The
@@ -981,16 +983,6 @@ func (e *Engine) AssessMany(ctx context.Context, reqs []AssessRequest) ([]*Asses
 	return e.AssessBatch(ctx, reqs, nil)
 }
 
-// AssessBatch is AssessMany plus a completion hook: onResult (when
-// non-nil) is invoked once per request as it finishes, from whichever
-// worker goroutine ran it — the progress feed behind the daemon's async
-// job queue. res is nil exactly when err is non-nil.
-//
-// Execution order is the planner's: requests are fingerprinted by
-// substrate identity (core.Config.SubstrateKeys), grouped, clustered by
-// shared components, and split into contiguous per-worker spans
-// (internal/plan). Results are always returned in request order
-// regardless of execution order.
 // assessSafe is assessResolved with per-unit panic containment: a
 // panicking configuration fails that one unit with an error instead of
 // killing the worker goroutine (and with it the process) — a batch of
@@ -1004,6 +996,16 @@ func (e *Engine) assessSafe(ctx context.Context, req AssessRequest, cfg Config, 
 	return e.assessResolved(ctx, req, cfg, tag)
 }
 
+// AssessBatch is AssessMany plus a completion hook: onResult (when
+// non-nil) is invoked once per request as it finishes, from whichever
+// worker goroutine ran it — the progress feed behind the daemon's async
+// job queue. res is nil exactly when err is non-nil.
+//
+// Execution order is the planner's: requests are fingerprinted by
+// substrate identity (core.Config.SubstrateKeys), grouped, clustered by
+// shared components, and split into contiguous per-worker spans
+// (internal/plan). Results are always returned in request order
+// regardless of execution order.
 func (e *Engine) AssessBatch(ctx context.Context, reqs []AssessRequest, onResult func(i int, res *AssessResult, err error)) ([]*AssessResult, error) {
 	results := make([]*AssessResult, len(reqs))
 	errs := make([]error, len(reqs))

@@ -89,6 +89,16 @@ func TestEngineLiveAssessReflectsIngestedSamples(t *testing.T) {
 	if after.Series.WUE[0] != before.Series.WUE[0] || after.Series.EWF[0] != before.Series.EWF[0] {
 		t.Error("live splice touched the intensity channels")
 	}
+	// The memoized live-spliced year carries its intensities.
+	cfg, err := req.resolveConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, _, cached, err := eng.liveAnnualFor(cfg, subUnplanned)
+	if err != nil || !cached {
+		t.Fatalf("live memo lookup cached=%v err=%v", cached, err)
+	}
+	checkCarried(t, a, cfg.Scarcity)
 }
 
 // TestEngineLiveEpochKeysCache is the staleness guarantee: assessments

@@ -140,6 +140,18 @@ func TestEnginePersistenceWarmStart(t *testing.T) {
 	if st.Disk.Recovered != len(reqs) {
 		t.Errorf("recovered %d entries, want %d", st.Disk.Recovered, len(reqs))
 	}
+	// A disk-served year carries its intensities like a simulated one.
+	for _, r := range reqs {
+		cfg, err := r.resolveConfig()
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, ok := eng2.diskLookup(cfg.Fingerprint())
+		if !ok {
+			t.Fatalf("%s: no disk record", r.System)
+		}
+		checkCarried(t, a, cfg.Scarcity)
+	}
 }
 
 // TestEnginePersistenceDisabledCacheStillServesDisk covers the

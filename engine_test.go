@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"runtime/debug"
 	"sync"
 	"testing"
 	"time"
@@ -170,6 +171,36 @@ func TestEngineCachedAssessmentIsFaster(t *testing.T) {
 
 	if warm*2 >= cold {
 		t.Errorf("cached assessment not measurably faster: cold %v, warm %v", cold, warm)
+	}
+}
+
+// TestEngineMemoHitAllocations pins the allocations of a memo hit: the
+// config, fingerprint and derived sections do constant work, with no
+// pass over the hourly year. The collector is off while measuring: its
+// timing would otherwise add an allocation to some runs.
+func TestEngineMemoHitAllocations(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	eng := NewEngine()
+	ctx := context.Background()
+	for _, tc := range []struct {
+		req  AssessRequest
+		want float64
+	}{
+		{AssessRequest{System: "Frontier"}, 8},
+		{AssessRequest{System: "Frontier", Scenarios: true}, 9},
+		{AssessRequest{System: "Frontier", Withdrawal: true}, 9},
+	} {
+		if _, err := eng.Assess(ctx, tc.req); err != nil {
+			t.Fatal(err)
+		}
+		n := testing.AllocsPerRun(20, func() {
+			if res, err := eng.Assess(ctx, tc.req); err != nil || !res.Cached {
+				t.Fatalf("memo hit: cached=%v err=%v", res != nil && res.Cached, err)
+			}
+		})
+		if n > tc.want {
+			t.Errorf("%+v: memo hit allocates %v times, want <= %v", tc.req, n, tc.want)
+		}
 	}
 }
 

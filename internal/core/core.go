@@ -47,17 +47,18 @@ type Config struct {
 
 // ConfigFor assembles the full configuration for a bundled system: one of
 // the four Table 1 systems or a Sec. 6(b) outlook system ("Aurora",
-// "El Capitan").
+// "El Capitan"). Only the named system, its site and its region are
+// built.
 func ConfigFor(systemName string) (Config, error) {
 	sys, err := hardware.AnySystemByName(systemName)
 	if err != nil {
 		return Config{}, err
 	}
-	site, ok := weather.AllSites()[sys.SiteName]
+	site, ok := weather.SiteByName(sys.SiteName)
 	if !ok {
 		return Config{}, fmt.Errorf("core: no climatology for site %q", sys.SiteName)
 	}
-	region, ok := energy.AllRegions()[sys.Region]
+	region, ok := energy.RegionByName(sys.Region)
 	if !ok {
 		return Config{}, fmt.Errorf("core: no grid region %q", sys.Region)
 	}
@@ -103,7 +104,9 @@ func (c Config) Validate() error {
 
 // Annual is one assessed year of operation: the typed hourly timeline
 // plus aggregate footprints. All downstream figures draw from this
-// struct.
+// struct. Like the aggregates, the annual-mean water intensities are
+// fixed when AnnualFrom builds the year; rebuild it with AnnualFrom after
+// changing Hourly.
 type Annual struct {
 	System string
 
@@ -117,6 +120,13 @@ type Annual struct {
 	Direct   units.Liters
 	Indirect units.Liters
 	Carbon   units.GramsCO2
+
+	// The annual-mean direct and indirect water intensities, carried so
+	// WaterIntensity is O(1). Unexported, so gob leaves them out of the
+	// persisted record; hasMeans is false in an Annual not built by
+	// AnnualFrom, which then recomputes them from Hourly.
+	meanDirect, meanIndirect units.LPerKWh
+	hasMeans                 bool
 }
 
 // Assess simulates one year: site weather drives WUE, the regional grid
@@ -189,12 +199,15 @@ func (c Config) SubstrateKeys() substrate.Keys {
 func AnnualFrom(system string, s series.Series) Annual {
 	t := s.Totals()
 	return Annual{
-		System:   system,
-		Hourly:   s,
-		Energy:   t.Energy,
-		Direct:   t.Direct,
-		Indirect: t.Indirect,
-		Carbon:   t.Carbon,
+		System:       system,
+		Hourly:       s,
+		Energy:       t.Energy,
+		Direct:       t.Direct,
+		Indirect:     t.Indirect,
+		Carbon:       t.Carbon,
+		meanDirect:   t.MeanDirect,
+		meanIndirect: t.MeanIndirect,
+		hasMeans:     true,
 	}
 }
 
@@ -237,7 +250,10 @@ func (a Annual) DirectShare() float64 {
 // WaterIntensity returns the annual-mean direct, indirect, and total water
 // intensity (Eq. 8), energy-unweighted as the paper plots them.
 func (a Annual) WaterIntensity() (direct, indirect, total units.LPerKWh) {
-	return a.Hourly.MeanWaterIntensity()
+	if !a.hasMeans {
+		return a.Hourly.MeanWaterIntensity()
+	}
+	return a.meanDirect, a.meanIndirect, a.meanDirect + a.meanIndirect
 }
 
 // MeanCarbonIntensity is the annual-mean grid carbon intensity.

@@ -2,9 +2,14 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
+	"thirstyflops/internal/energy"
+	"thirstyflops/internal/hardware"
 	"thirstyflops/internal/stats"
+	"thirstyflops/internal/units"
+	"thirstyflops/internal/weather"
 	"thirstyflops/internal/wsi"
 )
 
@@ -41,6 +46,104 @@ func TestConfigForAllSystems(t *testing.T) {
 	}
 	if _, err := ConfigFor("HAL9000"); err == nil {
 		t.Error("unknown system accepted")
+	}
+
+	// Every bundled region, site and system resolves by name to the value
+	// its list builds, and ConfigFor assembles the same config it did
+	// when it looked them up in the full maps.
+	regions, sites := energy.AllRegions(), weather.AllSites()
+	for name, want := range regions {
+		if got, ok := energy.RegionByName(name); !ok || !reflect.DeepEqual(got, want) {
+			t.Errorf("RegionByName(%q) = %+v, %v", name, got, ok)
+		}
+	}
+	for name, want := range sites {
+		if got, ok := weather.SiteByName(name); !ok || !reflect.DeepEqual(got, want) {
+			t.Errorf("SiteByName(%q) = %+v, %v", name, got, ok)
+		}
+	}
+	for i, want := range append(hardware.Systems(), hardware.OutlookSystems()...) {
+		got, err := hardware.AnySystemByName(want.Name)
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("AnySystemByName(%q) = %+v, %v", want.Name, got, err)
+		}
+		paper, err := hardware.SystemByName(want.Name)
+		if isPaper := i < len(hardware.Systems()); isPaper != (err == nil) || isPaper && !reflect.DeepEqual(paper, want) {
+			t.Errorf("SystemByName(%q) = %+v, %v", want.Name, paper, err)
+		}
+		c := mustConfig(t, want.Name)
+		if !reflect.DeepEqual(c.System, want) || !reflect.DeepEqual(c.Site, sites[want.SiteName]) ||
+			!reflect.DeepEqual(c.Region, regions[want.Region]) {
+			t.Errorf("ConfigFor(%q) resolved a different system, site or region", want.Name)
+		}
+	}
+
+	// Unknown names keep their error text.
+	for _, tc := range []struct {
+		name string
+		err  func(string) error
+		want string
+	}{
+		{"HAL9000", func(n string) error { _, err := ConfigFor(n); return err }, `hardware: unknown system "HAL9000"`},
+		{"Aurora", func(n string) error { _, err := hardware.SystemByName(n); return err }, `hardware: unknown system "Aurora"`},
+		{"HAL9000", func(n string) error { _, err := hardware.AnySystemByName(n); return err }, `hardware: unknown system "HAL9000"`},
+	} {
+		if err := tc.err(tc.name); err == nil || err.Error() != tc.want {
+			t.Errorf("lookup %q: error %v, want %q", tc.name, err, tc.want)
+		}
+	}
+	if _, ok := energy.RegionByName("Atlantis"); ok {
+		t.Error("unknown region resolved")
+	}
+	if _, ok := weather.SiteByName("Atlantis"); ok {
+		t.Error("unknown site resolved")
+	}
+}
+
+// TestAnnualCarriesWaterIntensities checks the intensities AnnualFrom
+// carries against the hourly recompute bit for bit, for every bundled
+// system over several seeds, and that an Annual built as a struct literal
+// falls back to the recompute.
+func TestAnnualCarriesWaterIntensities(t *testing.T) {
+	for _, sys := range append(hardware.Systems(), hardware.OutlookSystems()...) {
+		for _, seed := range []uint64{0, 1, 42, 1 << 40} {
+			c := mustConfig(t, sys.Name)
+			c.Seed = seed
+			a, err := c.Assess()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !a.hasMeans {
+				t.Fatalf("%s seed %d: Assess result carries no intensities", sys.Name, seed)
+			}
+			checkIntensities(t, a, c.Scarcity)
+			literal := Annual{System: a.System, Hourly: a.Hourly}
+			checkIntensities(t, literal, c.Scarcity)
+			d, i, w := a.WaterIntensity()
+			ld, li, lw := literal.WaterIntensity()
+			if ld != d || li != i || lw != w {
+				t.Errorf("%s seed %d: literal fallback differs", sys.Name, seed)
+			}
+		}
+	}
+	if d, i, w := (Annual{}).WaterIntensity(); d != 0 || i != 0 || w != 0 {
+		t.Errorf("zero Annual intensities = %v, %v, %v", d, i, w)
+	}
+}
+
+// checkIntensities fails unless a.WaterIntensity and
+// a.AdjustedWaterIntensity(p) equal the values derived from
+// a.Hourly.MeanWaterIntensity, compared bit for bit.
+func checkIntensities(t *testing.T, a Annual, p wsi.Profile) {
+	t.Helper()
+	d, i, w := a.Hourly.MeanWaterIntensity()
+	gd, gi, gw := a.WaterIntensity()
+	for _, pair := range [][2]units.LPerKWh{
+		{gd, d}, {gi, i}, {gw, w}, {a.AdjustedWaterIntensity(p), p.AdjustedIntensity(d, i)},
+	} {
+		if math.Float64bits(float64(pair[0])) != math.Float64bits(float64(pair[1])) {
+			t.Errorf("%s: carried intensity %v, hourly recompute %v", a.System, pair[0], pair[1])
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package energy
 
 import (
 	"encoding/hex"
+	"runtime/debug"
 	"testing"
 
 	"thirstyflops/internal/fingerprint"
@@ -100,8 +101,10 @@ func TestGoldenGridYears(t *testing.T) {
 }
 
 // TestGeneratorAllocations pins the allocation-free hourly loop: a year
-// costs only its output slices.
+// costs only its output slices. The collector is off while
+// measuring: its timing would otherwise add an allocation to some runs.
 func TestGeneratorAllocations(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	r := Italy()
 	if n := testing.AllocsPerRun(3, func() { r.HourlyYear(1) }); n > 1 {
 		t.Errorf("HourlyYear allocates %v times, want 1", n)

@@ -340,10 +340,40 @@ func Tennessee() Region {
 	}
 }
 
+// The bundled region constructors: the four paper regions, then the
+// outlook and candidate regions.
+var (
+	paperRegions = []func() Region{Italy, Japan, Illinois, Tennessee}
+	moreRegions  = []func() Region{California, PacificNorthwest, Texas, Arizona}
+)
+
+// regionCtors maps every bundled region's name to its constructor,
+// built once from the lists above.
+var regionCtors = func() map[string]func() Region {
+	out := make(map[string]func() Region, len(paperRegions)+len(moreRegions))
+	for _, list := range [][]func() Region{paperRegions, moreRegions} {
+		for _, ctor := range list {
+			out[ctor().Name] = ctor
+		}
+	}
+	return out
+}()
+
+// RegionByName builds the bundled region (any of AllRegions) with the
+// given name, constructing no other region.
+func RegionByName(name string) (Region, bool) {
+	ctor, ok := regionCtors[name]
+	if !ok {
+		return Region{}, false
+	}
+	return ctor(), true
+}
+
 // Regions returns the four paper regions keyed by name.
 func Regions() map[string]Region {
-	out := make(map[string]Region, 4)
-	for _, r := range []Region{Italy(), Japan(), Illinois(), Tennessee()} {
+	out := make(map[string]Region, len(paperRegions))
+	for _, ctor := range paperRegions {
+		r := ctor()
 		out[r.Name] = r
 	}
 	return out
@@ -370,7 +400,8 @@ func California() Region {
 // regions keyed by name.
 func AllRegions() map[string]Region {
 	out := Regions()
-	for _, r := range []Region{California(), PacificNorthwest(), Texas(), Arizona()} {
+	for _, ctor := range moreRegions {
+		r := ctor()
 		out[r.Name] = r
 	}
 	return out

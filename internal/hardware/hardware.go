@@ -435,17 +435,47 @@ func Frontier() System {
 	}
 }
 
+// paperSystems lists the Table 1 system constructors in table order.
+var paperSystems = []func() System{Marconi100, Fugaku, Polaris, Frontier}
+
 // Systems returns the four paper systems in Table 1 order.
-func Systems() []System {
-	return []System{Marconi100(), Fugaku(), Polaris(), Frontier()}
+func Systems() []System { return build(paperSystems) }
+
+// build calls each constructor in order.
+func build(ctors []func() System) []System {
+	out := make([]System, len(ctors))
+	for i, ctor := range ctors {
+		out[i] = ctor()
+	}
+	return out
+}
+
+// Name→constructor tables built once from the constructor lists:
+// paperByName holds the Table 1 systems, anyByName adds the outlook ones.
+var (
+	paperByName = index(paperSystems)
+	anyByName   = index(paperSystems, outlookSystems)
+)
+
+// index maps each constructor's system name to the constructor.
+func index(lists ...[]func() System) map[string]func() System {
+	out := make(map[string]func() System)
+	for _, list := range lists {
+		for _, ctor := range list {
+			out[ctor().Name] = ctor
+		}
+	}
+	return out
+}
+
+// lookup builds the named system from byName, constructing no other.
+func lookup(byName map[string]func() System, name string) (System, error) {
+	ctor, ok := byName[name]
+	if !ok {
+		return System{}, fmt.Errorf("hardware: unknown system %q", name)
+	}
+	return ctor(), nil
 }
 
 // SystemByName looks up one of the paper systems.
-func SystemByName(name string) (System, error) {
-	for _, s := range Systems() {
-		if s.Name == name {
-			return s, nil
-		}
-	}
-	return System{}, fmt.Errorf("hardware: unknown system %q", name)
-}
+func SystemByName(name string) (System, error) { return lookup(paperByName, name) }

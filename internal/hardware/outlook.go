@@ -1,10 +1,6 @@
 package hardware
 
-import (
-	"fmt"
-
-	"thirstyflops/internal/units"
-)
+import "thirstyflops/internal/units"
 
 // Outlook systems: the paper's Sec. 6(b) names Aurora and El Capitan as
 // the next systems ThirstyFLOPS should cover "with available or
@@ -84,21 +80,13 @@ func ElCapitan() System {
 	}
 }
 
+// outlookSystems lists the Sec. 6(b) system constructors in announcement
+// order.
+var outlookSystems = []func() System{Aurora, ElCapitan}
+
 // OutlookSystems returns the Sec. 6(b) systems in announcement order.
-func OutlookSystems() []System {
-	return []System{Aurora(), ElCapitan()}
-}
+func OutlookSystems() []System { return build(outlookSystems) }
 
 // AnySystemByName looks up a system across the Table 1 set and the
 // outlook set.
-func AnySystemByName(name string) (System, error) {
-	if s, err := SystemByName(name); err == nil {
-		return s, nil
-	}
-	for _, s := range OutlookSystems() {
-		if s.Name == name {
-			return s, nil
-		}
-	}
-	return System{}, fmt.Errorf("hardware: unknown system %q", name)
-}
+func AnySystemByName(name string) (System, error) { return lookup(anyByName, name) }

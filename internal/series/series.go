@@ -113,20 +113,27 @@ func (s Series) CarbonAt(h int) units.GramsCO2 {
 	return units.GramsCO2(float64(s.Energy[h]) * float64(s.PUE) * float64(s.Carbon[h]))
 }
 
-// Totals aggregates the series into the Eq. 1 operational components.
+// Totals aggregates the series into the Eq. 1 operational components,
+// plus the annual-mean water intensities (Eq. 8) summed in the same pass.
 type Totals struct {
 	Energy   units.KWh      // IT energy
 	Direct   units.Liters   // E · WUE
 	Indirect units.Liters   // E · PUE · EWF
 	Carbon   units.GramsCO2 // E · PUE · CI
+
+	// MeanDirect and MeanIndirect equal MeanWaterIntensity's direct and
+	// indirect results bit for bit.
+	MeanDirect   units.LPerKWh // mean WUE
+	MeanIndirect units.LPerKWh // mean PUE · EWF
 }
 
 // Operational is direct plus indirect water.
 func (t Totals) Operational() units.Liters { return t.Direct + t.Indirect }
 
-// Totals integrates the full series.
+// Totals integrates the full series. The intensity sums d and i keep
+// MeanWaterIntensity's order and expression shape, so the means match it.
 func (s Series) Totals() Totals {
-	var energy, direct, indirect, carbon float64
+	var energy, direct, indirect, carbon, d, i float64
 	pue := float64(s.PUE)
 	for h := range s.Energy {
 		e := float64(s.Energy[h])
@@ -134,13 +141,20 @@ func (s Series) Totals() Totals {
 		direct += e * float64(s.WUE[h])
 		indirect += e * pue * float64(s.EWF[h])
 		carbon += e * pue * float64(s.Carbon[h])
+		d += float64(s.WUE[h])
+		i += pue * float64(s.EWF[h])
 	}
-	return Totals{
+	t := Totals{
 		Energy:   units.KWh(energy),
 		Direct:   units.Liters(direct),
 		Indirect: units.Liters(indirect),
 		Carbon:   units.GramsCO2(carbon),
 	}
+	if n := s.Len(); n > 0 {
+		t.MeanDirect = units.LPerKWh(d / float64(n))
+		t.MeanIndirect = units.LPerKWh(i / float64(n))
+	}
+	return t
 }
 
 // MeanWaterIntensity returns the annual-mean direct, indirect, and total

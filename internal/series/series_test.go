@@ -75,6 +75,14 @@ func TestTotals(t *testing.T) {
 	if math.Abs(w-float64(tot.Operational())) > 1e-9 || math.Abs(c-float64(tot.Carbon)) > 1e-9 {
 		t.Error("per-hour accessors disagree with Totals")
 	}
+	// The means summed in the same pass equal MeanWaterIntensity's.
+	d, i, _ := s.MeanWaterIntensity()
+	if tot.MeanDirect != d || tot.MeanIndirect != i {
+		t.Errorf("Totals means %v, %v; MeanWaterIntensity %v, %v", tot.MeanDirect, tot.MeanIndirect, d, i)
+	}
+	if z := (Series{PUE: 1}).Totals(); z.MeanDirect != 0 || z.MeanIndirect != 0 {
+		t.Errorf("empty series means %v, %v", z.MeanDirect, z.MeanIndirect)
+	}
 }
 
 func TestMeans(t *testing.T) {

@@ -2,6 +2,7 @@ package weather
 
 import (
 	"encoding/hex"
+	"runtime/debug"
 	"testing"
 
 	"thirstyflops/internal/fingerprint"
@@ -85,8 +86,10 @@ func TestGoldenWeatherYears(t *testing.T) {
 }
 
 // TestGeneratorAllocations pins the allocation-free hourly loop: a year
-// costs only its output slice.
+// costs only its output slice. The collector is off while
+// measuring: its timing would otherwise add an allocation to some runs.
 func TestGeneratorAllocations(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	s := Kobe()
 	if n := testing.AllocsPerRun(3, func() { s.HourlyYear(1) }); n > 1 {
 		t.Errorf("HourlyYear allocates %v times, want 1", n)

@@ -100,10 +100,40 @@ func Livermore() Site {
 	}
 }
 
+// The bundled site constructors: the four paper sites, then the outlook
+// sites.
+var (
+	paperSites   = []func() Site{Bologna, Kobe, Lemont, OakRidge}
+	outlookSites = []func() Site{Livermore}
+)
+
+// siteCtors maps every bundled site's name to its constructor, built
+// once from the lists above.
+var siteCtors = func() map[string]func() Site {
+	out := make(map[string]func() Site, len(paperSites)+len(outlookSites))
+	for _, list := range [][]func() Site{paperSites, outlookSites} {
+		for _, ctor := range list {
+			out[ctor().Name] = ctor
+		}
+	}
+	return out
+}()
+
+// SiteByName builds the bundled site (any of AllSites) with the given
+// name, constructing no other site.
+func SiteByName(name string) (Site, bool) {
+	ctor, ok := siteCtors[name]
+	if !ok {
+		return Site{}, false
+	}
+	return ctor(), true
+}
+
 // Sites returns the four paper sites keyed by name.
 func Sites() map[string]Site {
-	out := make(map[string]Site, 4)
-	for _, s := range []Site{Bologna(), Kobe(), Lemont(), OakRidge()} {
+	out := make(map[string]Site, len(paperSites))
+	for _, ctor := range paperSites {
+		s := ctor()
 		out[s.Name] = s
 	}
 	return out
@@ -112,7 +142,8 @@ func Sites() map[string]Site {
 // AllSites returns the paper sites plus the outlook sites.
 func AllSites() map[string]Site {
 	out := Sites()
-	for _, s := range []Site{Livermore()} {
+	for _, ctor := range outlookSites {
+		s := ctor()
 		out[s.Name] = s
 	}
 	return out
