@@ -5,8 +5,8 @@
 # bench-core gates the modeling hot paths against BENCH_PR2.json,
 # bench-daemon gates the thirstyflopsd HTTP serving path (concurrent
 # /assess throughput, live assess, NDJSON ingest) against BENCH_PR3.json,
-# bench-plan gates the substrate-aware sweep planner (planned vs
-# unplanned shuffled sweep, plan construction) against BENCH_PR4.json,
+# bench-plan gates the substrate-aware sweep planner (planned shuffled
+# sweep, plan construction) against BENCH_PR4.json,
 # bench-store gates the persistence tier (record append, disk get, warm
 # boot of a 10k-entry log, and the engine-level disk-hit vs isolated
 # recompute pair) against BENCH_PR5.json,
@@ -36,7 +36,7 @@ GATED_BENCHES = ^(BenchmarkEngineAssessCold|BenchmarkEngineAssessColdIsolated|Be
 
 GATED_DAEMON_BENCHES = ^(BenchmarkDaemonAssess|BenchmarkDaemonAssessLive|BenchmarkDaemonIngest)$$
 
-GATED_PLAN_BENCHES = ^(BenchmarkSweepPlanned|BenchmarkSweepUnplanned|BenchmarkPlanBuild)$$
+GATED_PLAN_BENCHES = ^(BenchmarkSweepPlanned|BenchmarkPlanBuild)$$
 
 GATED_STORE_BENCHES = ^(BenchmarkStoreAppend|BenchmarkStoreGet|BenchmarkWarmStart|BenchmarkEngineWarmStartDisk|BenchmarkEngineAssessColdIsolated)$$
 

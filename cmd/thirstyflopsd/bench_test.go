@@ -28,7 +28,7 @@ func benchServer(b *testing.B) (*httptest.Server, *thirstyflops.Engine) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	eng := thirstyflops.NewEngine(thirstyflops.WithLiveStream(stream))
+	eng := thirstyflops.NewEngine(thirstyflops.WithLiveStreams(thirstyflops.NewStreamRegistry(stream)))
 	h, err := newMux(eng)
 	if err != nil {
 		b.Fatal(err)

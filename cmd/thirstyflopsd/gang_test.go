@@ -187,14 +187,18 @@ func TestHealthzGangBlock(t *testing.T) {
 			body.Gang.CrossJobSubstrateHits, body.Cache.Substrate.CrossJobHits)
 	}
 
-	// A default-window server reports no gang block at all.
+	// A zero-window server still reports the block: every batch runs
+	// through the scheduler, just never merged.
 	plain, _ := newTestServer(t)
 	resp = doMethod(t, http.MethodGet, plain.URL+"/healthz")
-	var none struct {
+	var zero struct {
 		Gang *gangHealth `json:"gang"`
 	}
-	decode(t, resp, &none)
-	if none.Gang != nil {
-		t.Error("/healthz reports a gang block without a gang window")
+	decode(t, resp, &zero)
+	if zero.Gang == nil {
+		t.Fatal("/healthz has no gang block under a zero gang window")
+	}
+	if zero.Gang.WindowNs != 0 || zero.Gang.MergedBatches != 0 {
+		t.Errorf("zero-window gang block = %+v; want window_ns 0 and merged_batches 0", zero.Gang)
 	}
 }

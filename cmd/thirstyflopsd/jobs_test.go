@@ -261,7 +261,7 @@ func TestJobsValidationAndLimits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := thirstyflops.NewEngine(thirstyflops.WithLiveStream(stream))
+	eng := thirstyflops.NewEngine(thirstyflops.WithLiveStreams(thirstyflops.NewStreamRegistry(stream)))
 	srv, err := newServer(eng, jobsConfig{Retain: 4, Concurrency: 1, MaxUnits: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -333,7 +333,7 @@ func TestJobsRetentionEvictsOldest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := thirstyflops.NewEngine(thirstyflops.WithLiveStream(stream))
+	eng := thirstyflops.NewEngine(thirstyflops.WithLiveStreams(thirstyflops.NewStreamRegistry(stream)))
 	srv, err := newServer(eng, jobsConfig{Retain: 2, Concurrency: 2, MaxUnits: 100})
 	if err != nil {
 		t.Fatal(err)

@@ -87,7 +87,7 @@ func main() {
 		flushEvery  = flag.Duration("flush-interval", statsd.DefaultFlushInterval, "UDP aggregation window: one sample per system per interval")
 		udpMaxQueue = flag.Int("udp-max-queue", statsd.DefaultMaxQueue, "unprocessed UDP datagrams buffered before backpressure drops")
 		udpAllow    = flag.String("udp-allow", "", "comma-separated source CIDRs allowed to feed -udp-addr (empty allows all)")
-		gangWindow  = flag.Duration("gang-window", defaultGangWindow, "merge window for fleet-wide gang scheduling: concurrent batches arriving within it share one substrate-affine schedule (0 restores per-batch planning)")
+		gangWindow  = flag.Duration("gang-window", defaultGangWindow, "merge window for fleet-wide gang scheduling: concurrent batches arriving within it share one substrate-affine schedule (0 runs each batch as its own round)")
 		jobRetain   = flag.Int("jobs", defaultJobRetain, "async jobs retained for polling, LRU-evicted (0 disables /jobs)")
 		jobConc     = flag.Int("job-concurrency", defaultJobConcurrency, "async jobs executing at once; further jobs queue")
 		jobUnits    = flag.Int("job-max-units", defaultJobMaxUnits, "max assessments one job may expand to")
@@ -983,8 +983,8 @@ type healthBody struct {
 	Gang          *gangHealth             `json:"gang,omitempty"`
 }
 
-// gangHealth is the /healthz gang block (present only when -gang-window
-// is positive): the fleet-wide batch scheduler's counters plus the
+// gangHealth is the /healthz gang block (always present; merged_batches
+// stays 0 under -gang-window=0): the batch scheduler's counters plus the
 // substrate layer's cross-job hit count — generator years one job
 // computed and another consumed.
 type gangHealth struct {
@@ -1006,11 +1006,9 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if d := body.Cache.Disk; d != nil {
 		body.Breaker = d.Breaker
 	}
-	if g := body.Cache.Gang; g != nil {
-		body.Gang = &gangHealth{
-			Stats:                 *g,
-			CrossJobSubstrateHits: body.Cache.Substrate.CrossJobHits,
-		}
+	body.Gang = &gangHealth{
+		Stats:                 *body.Cache.Gang,
+		CrossJobSubstrateHits: body.Cache.Substrate.CrossJobHits,
 	}
 	if reg := s.engine.LiveStreams(); reg != nil && reg.Len() > 0 {
 		sum := telemetry.Summarize(reg.Statuses())

@@ -23,7 +23,7 @@ func newTestServer(t *testing.T) (*httptest.Server, *thirstyflops.Engine) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := thirstyflops.NewEngine(thirstyflops.WithLiveStream(stream))
+	eng := thirstyflops.NewEngine(thirstyflops.WithLiveStreams(thirstyflops.NewStreamRegistry(stream)))
 	h, err := newMux(eng)
 	if err != nil {
 		t.Fatal(err)
@@ -427,7 +427,7 @@ func TestIngestErrors(t *testing.T) {
 }
 
 func TestLiveRoutesWithoutStream(t *testing.T) {
-	eng := thirstyflops.NewEngine() // no WithLiveStream
+	eng := thirstyflops.NewEngine() // no WithLiveStreams
 	h, err := newMux(eng)
 	if err != nil {
 		t.Fatal(err)
@@ -468,7 +468,7 @@ func TestGracefulShutdownDrainsInflight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := thirstyflops.NewEngine(thirstyflops.WithLiveStream(stream))
+	eng := thirstyflops.NewEngine(thirstyflops.WithLiveStreams(thirstyflops.NewStreamRegistry(stream)))
 	h, err := newMux(eng)
 	if err != nil {
 		t.Fatal(err)

@@ -231,7 +231,7 @@ func TestIngestBearerAuth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := thirstyflops.NewEngine(thirstyflops.WithLiveStream(stream))
+	eng := thirstyflops.NewEngine(thirstyflops.WithLiveStreams(thirstyflops.NewStreamRegistry(stream)))
 	s, err := newServer(eng, jobsConfig{})
 	if err != nil {
 		t.Fatal(err)

@@ -45,7 +45,6 @@ type Engine struct {
 	workers    int
 	maxEntries int
 	shardHint  int
-	planner    bool
 	shards     []*cache.Cache[fingerprint.Key, core.Annual]
 	streams    *telemetry.Registry
 
@@ -82,10 +81,11 @@ type Engine struct {
 
 	// Substrate-layer lookups made on this Engine's behalf, split by
 	// whether the triggering assessment was scheduled by the sweep
-	// planner. The split is how planner effectiveness is observed in
-	// production (CacheStats.Substrate). The cross-job pair is a subset
-	// of the planned pair: lookups whose unit was co-scheduled by the
-	// gang scheduler into a substrate group spanning more than one batch.
+	// planner (a batch) or was a single Assess call. The split is how
+	// planner effectiveness is observed in production
+	// (CacheStats.Substrate). The cross-job pair is a subset of the
+	// planned pair: lookups whose unit was co-scheduled by the gang
+	// scheduler into a substrate group spanning more than one batch.
 	subPlannedHits     atomic.Uint64
 	subPlannedMisses   atomic.Uint64
 	subUnplannedHits   atomic.Uint64
@@ -93,11 +93,11 @@ type Engine struct {
 	subCrossJobHits    atomic.Uint64
 	subCrossJobMisses  atomic.Uint64
 
-	// gangWindow/gangSched are the fleet-wide admission layer
-	// (WithGangWindow): when the window is positive and the planner is
-	// on, AssessBatch calls enqueue into one shared scheduler that merges
-	// batches arriving within a window into a single substrate-affine
-	// schedule. gangSched is nil when gang scheduling is off.
+	// gangWindow/gangSched are the batch execution layer
+	// (WithGangWindow): every AssessBatch and Water500 call runs through
+	// the one scheduler, which merges batches arriving within a positive
+	// window into a single substrate-affine schedule and runs each batch
+	// as its own round when the window is zero.
 	gangWindow time.Duration
 	gangSched  *gang.Scheduler
 }
@@ -107,9 +107,9 @@ type Engine struct {
 type subTag uint8
 
 const (
-	// subUnplanned: single Assess calls, or planning disabled.
+	// subUnplanned: single Assess calls.
 	subUnplanned subTag = iota
-	// subPlanned: scheduled by the sweep planner within one batch.
+	// subPlanned: scheduled by the sweep planner as part of a batch.
 	subPlanned
 	// subCrossJob: planned, and the unit's substrate group in the gang
 	// scheduler's merged round held units from more than one batch —
@@ -128,7 +128,8 @@ func WithCache(n int) Option {
 	return func(e *Engine) { e.maxEntries = n }
 }
 
-// WithWorkers sets the AssessMany/Sweep fan-out width (default
+// WithWorkers sets how many workers the batch scheduler spreads one
+// round across — the AssessMany/Sweep/Water500 fan-out width (default
 // GOMAXPROCS).
 func WithWorkers(n int) Option {
 	return func(e *Engine) {
@@ -138,55 +139,28 @@ func WithWorkers(n int) Option {
 	}
 }
 
-// WithLiveStream attaches a telemetry stream: Engine.Ingest feeds it and
-// requests with Source "live" answer against a simulated year spliced
-// with the stream's observed demand. Live results are cached under a key
-// that chains the configuration fingerprint with the stream epoch, so a
-// cached assessment can never survive past the samples it was computed
-// from.
-//
-// The option is repeatable: each stream registers under its system label
-// in the Engine's stream registry, and samples plus source="live"
-// requests route to their system's stream (a stream with an empty label
-// is the wildcard fallback). Registering a second stream for the same
-// system replaces the first.
-func WithLiveStream(s *telemetry.Stream) Option {
-	return func(e *Engine) {
-		if e.streams == nil {
-			e.streams = telemetry.NewRegistry()
-		}
-		e.streams.Register(s)
-	}
-}
-
-// WithLiveStreams attaches a pre-built stream registry wholesale —
-// the daemon shares one registry between the Engine and the UDP
-// telemetry plane. It replaces any streams registered so far.
+// WithLiveStreams attaches a telemetry stream registry
+// (NewStreamRegistry): Engine.Ingest feeds it and requests with Source
+// "live" answer against a simulated year spliced with the observed
+// demand of their system's stream (a stream with an empty label is the
+// wildcard fallback). Live results are cached under a key that chains
+// the configuration fingerprint with the stream epoch, so a cached
+// assessment can never survive past the samples it was computed from.
+// The daemon shares one registry between the Engine and the UDP
+// telemetry plane.
 func WithLiveStreams(r *telemetry.Registry) Option {
 	return func(e *Engine) { e.streams = r }
 }
 
-// WithPlanner toggles substrate-aware batch planning (default on). When
-// enabled, AssessMany/AssessBatch/Sweep fingerprint each request's
-// substrate identity and schedule the batch so requests sharing a
-// substrate run consecutively on one worker (internal/plan): at most
-// `workers` distinct substrates are live at any moment, so a bounded
-// substrate cache generates each shared year once per sweep regardless
-// of arrival order. Disabling it restores arrival-order fan-out — the
-// baseline the planner benchmarks compare against.
-func WithPlanner(enabled bool) Option {
-	return func(e *Engine) { e.planner = enabled }
-}
-
-// WithGangWindow enables fleet-wide gang scheduling: AssessBatch calls
-// arriving within d of each other merge into one substrate-affine
-// schedule (internal/gang), so concurrent batches sweeping the same
-// sites generate each shared substrate year once fleet-wide instead of
-// once per batch. Per-batch context cancellation is still honored —
-// canceling one batch never cancels co-scheduled units of another.
-// d <= 0 (the default) keeps today's per-batch planning; the option
-// requires the planner (WithPlanner(false) disables it too, since the
-// merged schedule is built by the same planner).
+// WithGangWindow sets the merge window of the batch scheduler
+// (internal/gang): AssessBatch and Water500 calls arriving within d of
+// each other merge into one substrate-affine schedule, so concurrent
+// batches sweeping the same sites generate each shared substrate year
+// once fleet-wide instead of once per batch. Per-batch context
+// cancellation is still honored — canceling one batch never cancels
+// co-scheduled units of another. d <= 0 (the default) merges nothing:
+// each batch is planned and run as its own round, so requests sharing a
+// substrate still run consecutively on one worker.
 func WithGangWindow(d time.Duration) Option {
 	return func(e *Engine) { e.gangWindow = d }
 }
@@ -273,7 +247,6 @@ func NewEngine(opts ...Option) *Engine {
 	e := &Engine{
 		workers:    runtime.GOMAXPROCS(0),
 		maxEntries: 64,
-		planner:    true,
 	}
 	for _, o := range opts {
 		o(e)
@@ -306,9 +279,7 @@ func NewEngine(opts ...Option) *Engine {
 			e.disk = nil
 		}
 	}
-	if e.gangWindow > 0 && e.planner {
-		e.gangSched = gang.New(e.gangWindow, e.workers)
-	}
+	e.gangSched = gang.New(e.gangWindow, e.workers)
 	return e
 }
 
@@ -350,9 +321,10 @@ type CacheStats struct {
 	// execution.
 	Substrate SubstrateStats `json:"substrate"`
 
-	// Gang reports the fleet-wide batch scheduler (nil when
-	// WithGangWindow is not in effect): how many batches merged into
-	// shared rounds and how many units were co-scheduled across jobs.
+	// Gang reports the batch scheduler (always present; MergedBatches
+	// stays zero under a zero WithGangWindow): how many batches merged
+	// into shared rounds and how many units were co-scheduled across
+	// jobs.
 	Gang *gang.Stats `json:"gang,omitempty"`
 
 	// Disk reports the persistence tier (nil when WithPersistence is not
@@ -397,10 +369,10 @@ type DiskStats struct {
 // years behind assessments). Hits/Misses/Entries are process-wide — the
 // layer is shared by every Engine — while the planned/unplanned split
 // counts only lookups made on this Engine's behalf: a lookup is
-// "planned" when the triggering assessment was scheduled by the sweep
-// planner (AssessMany/AssessBatch/Sweep with WithPlanner enabled) and
-// "unplanned" otherwise (single Assess calls, or planning disabled). A
-// healthy planned/unplanned hit-rate gap is the planner doing its job.
+// "planned" when the triggering assessment ran as part of a batch
+// (AssessMany/AssessBatch/Sweep/Water500, all scheduled by the planner)
+// and "unplanned" when it came from a single Assess call. A healthy
+// planned/unplanned hit-rate gap is the planner doing its job.
 type SubstrateStats struct {
 	Hits    uint64 `json:"hits"`
 	Misses  uint64 `json:"misses"`
@@ -441,10 +413,8 @@ func (e *Engine) CacheStats() CacheStats {
 		CrossJobHits:    e.subCrossJobHits.Load(),
 		CrossJobMisses:  e.subCrossJobMisses.Load(),
 	}
-	if e.gangSched != nil {
-		g := e.gangSched.Stats()
-		out.Gang = &g
-	}
+	g := e.gangSched.Stats()
+	out.Gang = &g
 	if e.store != nil {
 		st := e.store.Stats()
 		snap := e.disk.Snapshot()
@@ -637,17 +607,6 @@ func (e *Engine) annualFor(cfg Config, tag subTag) (core.Annual, bool, error) {
 
 // --- Live telemetry ---
 
-// LiveStream returns the attached telemetry stream when the Engine
-// carries exactly one (or a wildcard stream among several), or nil when
-// the Engine runs simulation-only — the single-stream view kept for
-// callers predating the registry.
-func (e *Engine) LiveStream() *telemetry.Stream {
-	if e.streams == nil {
-		return nil
-	}
-	return e.streams.Single()
-}
-
 // LiveStreams returns the Engine's stream registry (nil when the Engine
 // runs simulation-only): one telemetry.Stream per fleet system, plus an
 // optional wildcard. The daemon's /livez and the UDP telemetry plane
@@ -662,7 +621,7 @@ func (e *Engine) LiveStreams() *telemetry.Registry { return e.streams }
 // while the rest of the batch proceeds.
 func (e *Engine) Ingest(samples ...telemetry.Sample) (accepted int, err error) {
 	if e.streams == nil || e.streams.Len() == 0 {
-		return 0, fmt.Errorf("thirstyflops: engine has no live stream (construct with WithLiveStream)")
+		return 0, fmt.Errorf("thirstyflops: engine has no live stream (construct with WithLiveStreams)")
 	}
 	errs := make([]error, 0, 4)
 	for i, s := range samples {
@@ -712,7 +671,7 @@ func liveKey(base fingerprint.Key, s *telemetry.Stream, epoch uint64) fingerprin
 // under the epoch-chained key.
 func (e *Engine) liveAnnualFor(cfg Config, tag subTag) (core.Annual, *LiveInfo, bool, error) {
 	if e.streams == nil || e.streams.Len() == 0 {
-		return core.Annual{}, nil, false, fmt.Errorf("thirstyflops: live source requested but the engine has no stream (construct with WithLiveStream)")
+		return core.Annual{}, nil, false, fmt.Errorf("thirstyflops: live source requested but the engine has no stream (construct with WithLiveStreams)")
 	}
 	stream := e.streams.Resolve(cfg.System.Name)
 	if stream == nil {
@@ -975,10 +934,10 @@ func (e *Engine) assessResolved(ctx context.Context, req AssessRequest, cfg Conf
 
 // AssessMany evaluates a batch of requests across the Engine's worker
 // pool, preserving order. Requests sharing a configuration simulate
-// once, and (unless WithPlanner(false)) the batch is scheduled by the
-// substrate-aware planner so requests sharing generator years run
-// consecutively on one worker. Failed requests leave nil slots; the
-// joined error reports every failure.
+// once, and the batch is scheduled by the substrate-aware planner so
+// requests sharing generator years run consecutively on one worker.
+// Failed requests leave nil slots; the joined error reports every
+// failure.
 func (e *Engine) AssessMany(ctx context.Context, reqs []AssessRequest) ([]*AssessResult, error) {
 	return e.AssessBatch(ctx, reqs, nil)
 }
@@ -1001,11 +960,12 @@ func (e *Engine) assessSafe(ctx context.Context, req AssessRequest, cfg Config, 
 // worker goroutine ran it — the progress feed behind the daemon's async
 // job queue. res is nil exactly when err is non-nil.
 //
-// Execution order is the planner's: requests are fingerprinted by
-// substrate identity (core.Config.SubstrateKeys), grouped, clustered by
-// shared components, and split into contiguous per-worker spans
-// (internal/plan). Results are always returned in request order
-// regardless of execution order.
+// Execution order is the batch scheduler's (internal/gang): requests
+// are fingerprinted by substrate identity (core.Config.SubstrateKeys),
+// merged with any other batch arriving within the WithGangWindow
+// window, grouped, clustered by shared components, and split into
+// contiguous per-worker spans (internal/plan). Results are always
+// returned in request order regardless of execution order.
 func (e *Engine) AssessBatch(ctx context.Context, reqs []AssessRequest, onResult func(i int, res *AssessResult, err error)) ([]*AssessResult, error) {
 	results := make([]*AssessResult, len(reqs))
 	errs := make([]error, len(reqs))
@@ -1023,14 +983,9 @@ func (e *Engine) AssessBatch(ctx context.Context, reqs []AssessRequest, onResult
 	// Resolve every request up front: the planner derives substrate
 	// identities from materialized configs, and resolution failures
 	// (unknown system, invalid document) drop out of the schedule
-	// before any simulation runs. Fingerprinting is skipped entirely
-	// when planning is off — the unplanned path never reads the keys.
+	// before any simulation runs.
 	cfgs := make([]Config, len(reqs))
-	resolved := make([]int, 0, len(reqs))
-	var items []plan.Item
-	if e.planner {
-		items = make([]plan.Item, 0, len(reqs))
-	}
+	items := make([]plan.Item, 0, len(reqs))
 	for i, r := range reqs {
 		cfg, err := r.resolveConfig()
 		if err != nil {
@@ -1038,96 +993,36 @@ func (e *Engine) AssessBatch(ctx context.Context, reqs []AssessRequest, onResult
 			continue
 		}
 		cfgs[i] = cfg
-		resolved = append(resolved, i)
-		if e.planner {
-			ks := cfg.SubstrateKeys()
-			items = append(items, plan.Item{Index: i, Substrate: ks.Combined(), Cluster: ks.Cluster()})
+		items = append(items, planItem(i, cfg))
+	}
+
+	// The run callback demuxes completions back into this batch's
+	// slots; on cancellation the scheduler still invokes it for every
+	// unit, so nil result slots always pair with a reported error.
+	e.gangSched.Submit(ctx, items, func(i int, crossJob bool) {
+		if err := ctx.Err(); err != nil {
+			note(i, nil, err)
+			return
 		}
-	}
-
-	workers := e.workers
-	if workers > len(resolved) {
-		workers = len(resolved)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-
-	// Gang path: hand the fingerprinted items to the shared fleet-wide
-	// scheduler, which merges them with any other batch arriving within
-	// the merge window and plans the union. The run callback demuxes
-	// completions back into this batch's slots; on cancellation the
-	// scheduler invokes it for every unit no worker claimed, so nil
-	// result slots still pair with a reported error.
-	if e.planner && e.gangSched != nil {
-		e.gangSched.Submit(ctx, items, func(i int, crossJob bool) {
-			if err := ctx.Err(); err != nil {
-				note(i, nil, err)
-				return
-			}
-			tag := subPlanned
-			if crossJob {
-				tag = subCrossJob
-			}
-			res, err := e.assessSafe(ctx, reqs[i], cfgs[i], tag)
-			note(i, res, err)
-		})
-		return results, joinUnitErrors(errs)
-	}
-
-	var wg sync.WaitGroup
-	if e.planner {
-		p := plan.Build(items, workers)
-		for _, span := range p.Spans {
-			wg.Add(1)
-			go func(span []int) {
-				defer wg.Done()
-				for k, i := range span {
-					if err := ctx.Err(); err != nil {
-						// Mark the span's remainder, so nil result
-						// slots always pair with a reported error.
-						for _, j := range span[k:] {
-							note(j, nil, err)
-						}
-						return
-					}
-					res, err := e.assessSafe(ctx, reqs[i], cfgs[i], subPlanned)
-					note(i, res, err)
-				}
-			}(span)
-		}
-		wg.Wait()
-		return results, joinUnitErrors(errs)
-	}
-
-	// Unplanned arrival-order fan-out: the pre-planner baseline, kept
-	// for comparison (benchmarks, WithPlanner(false)).
-	idx := make(chan int)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				res, err := e.assessSafe(ctx, reqs[i], cfgs[i], subUnplanned)
-				note(i, res, err)
-			}
-		}()
-	}
-feed:
-	for k, i := range resolved {
-		select {
-		case idx <- i:
-		case <-ctx.Done():
-			// Mark every request not yet handed to a worker.
-			for _, rest := range resolved[k:] {
-				note(rest, nil, ctx.Err())
-			}
-			break feed
-		}
-	}
-	close(idx)
-	wg.Wait()
+		res, err := e.assessSafe(ctx, reqs[i], cfgs[i], batchTag(crossJob))
+		note(i, res, err)
+	})
 	return results, joinUnitErrors(errs)
+}
+
+// planItem is the scheduler's view of one batch unit: its batch-local
+// index plus the substrate identities the planner groups by.
+func planItem(i int, cfg Config) plan.Item {
+	ks := cfg.SubstrateKeys()
+	return plan.Item{Index: i, Substrate: ks.Combined(), Cluster: ks.Cluster()}
+}
+
+// batchTag classifies a scheduled unit's substrate lookups.
+func batchTag(crossJob bool) subTag {
+	if crossJob {
+		return subCrossJob
+	}
+	return subPlanned
 }
 
 // joinUnitErrors joins a batch's per-unit errors, collapsing the
@@ -1365,9 +1260,9 @@ type Water500Result struct {
 }
 
 // Water500 ranks the bundled systems by operational water per unit of
-// delivered performance, assessing across the worker pool and reusing
-// cached assessments. Water500From returns the entries already sorted by
-// rank.
+// delivered performance, running the systems as one batch through the
+// scheduler AssessBatch uses and reusing cached assessments.
+// Water500From returns the entries already sorted by rank.
 func (e *Engine) Water500(ctx context.Context, req Water500Request) (*Water500Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -1387,44 +1282,17 @@ func (e *Engine) Water500(ctx context.Context, req Water500Request) (*Water500Re
 
 	annuals := make([]core.Annual, len(cfgs))
 	errs := make([]error, len(cfgs))
-	workers := e.workers
-	if workers > len(cfgs) {
-		workers = len(cfgs)
+	items := make([]plan.Item, len(cfgs))
+	for i, cfg := range cfgs {
+		items[i] = planItem(i, cfg)
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	var wg sync.WaitGroup
-	idx := make(chan int)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				if err := ctx.Err(); err != nil {
-					errs[i] = err
-					continue
-				}
-				annuals[i], _, errs[i] = e.annualFor(cfgs[i], subUnplanned)
-			}
-		}()
-	}
-feed:
-	for i := range cfgs {
-		select {
-		case idx <- i:
-		case <-ctx.Done():
-			// Mark every config not yet handed to a worker, so nil
-			// annual slots always pair with a reported error and the
-			// feeder can never block on a drained pool.
-			for j := i; j < len(cfgs); j++ {
-				errs[j] = fmt.Errorf("system %s: %w", cfgs[j].System.Name, ctx.Err())
-			}
-			break feed
+	e.gangSched.Submit(ctx, items, func(i int, crossJob bool) {
+		if err := ctx.Err(); err != nil {
+			errs[i] = fmt.Errorf("system %s: %w", cfgs[i].System.Name, err)
+			return
 		}
-	}
-	close(idx)
-	wg.Wait()
+		annuals[i], _, errs[i] = e.annualFor(cfgs[i], batchTag(crossJob))
+	})
 	if err := errors.Join(errs...); err != nil {
 		return nil, err
 	}

@@ -15,7 +15,7 @@ func newLiveEngine(t *testing.T, system string, window int) (*Engine, *Stream) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewEngine(WithLiveStream(stream)), stream
+	return NewEngine(WithLiveStreams(NewStreamRegistry(stream))), stream
 }
 
 func TestEngineLiveAssessEmptyWindowMatchesSimulation(t *testing.T) {
@@ -163,7 +163,7 @@ func TestEngineLiveUncachedEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := NewEngine(WithCache(0), WithLiveStream(stream))
+	eng := NewEngine(WithCache(0), WithLiveStreams(NewStreamRegistry(stream)))
 	if _, err := eng.Ingest(Sample{Hour: 0, Power: 2e6}); err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestEngineLiveErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	yearEng := NewEngine(WithLiveStream(stream))
+	yearEng := NewEngine(WithLiveStreams(NewStreamRegistry(stream)))
 	year := 2024
 	if _, err := yearEng.Assess(ctx, AssessRequest{System: "Frontier", Year: &year, Source: SourceLive}); err == nil {
 		t.Error("year mismatch not rejected")

@@ -197,8 +197,9 @@ func TestAssessBatchPanicContainment(t *testing.T) {
 		t.Fatal("panicking unit produced a result")
 	}
 
-	// The unplanned path contains panics too.
-	eng2 := NewEngine(WithPlanner(false), WithAssessHook(func(system string) error {
+	// A round run through the merge window, on the scheduler's own
+	// worker goroutines, contains panics too.
+	eng2 := NewEngine(WithGangWindow(time.Millisecond), WithAssessHook(func(system string) error {
 		if system == "Fugaku" {
 			panic("poisoned config")
 		}
@@ -206,9 +207,9 @@ func TestAssessBatchPanicContainment(t *testing.T) {
 	}))
 	results, err = eng2.AssessMany(context.Background(), reqs)
 	if err == nil || !strings.Contains(err.Error(), "panic") {
-		t.Fatalf("unplanned joined error = %v, want a contained panic", err)
+		t.Fatalf("merged-round joined error = %v, want a contained panic", err)
 	}
 	if results[0] == nil || results[2] == nil || results[1] != nil {
-		t.Fatal("unplanned path mishandled the poisoned unit")
+		t.Fatal("merged round mishandled the poisoned unit")
 	}
 }

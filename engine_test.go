@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -466,25 +467,30 @@ func TestEngineLRUOrderingAcrossHits(t *testing.T) {
 	}
 }
 
+// TestEngineWater500Cancellation cancels mid-flight: the hook on the
+// first assessed system cancels the context, so the remaining systems
+// see it inside the scheduler's run callback. The call fails whole —
+// no partial ranking — and every canceled unit names its system.
 func TestEngineWater500Cancellation(t *testing.T) {
-	eng := NewEngine(WithWorkers(1))
-	ctx, cancel := context.WithCancel(context.Background())
-
-	// Warm one entry, then cancel mid-flight: the feeder must not block
-	// and every nil slot must pair with a reported error.
-	if _, err := eng.Water500(context.Background(), Water500Request{}); err != nil {
-		t.Fatal(err)
-	}
-	cancel()
-	res, err := eng.Water500(ctx, Water500Request{})
-	if err == nil {
-		t.Fatal("canceled Water500 returned no error")
-	}
-	if res != nil {
-		t.Error("canceled Water500 returned a partial result")
-	}
-	if !errors.Is(err, context.Canceled) {
-		t.Errorf("error %v does not wrap context.Canceled", err)
+	for _, window := range []time.Duration{0, time.Millisecond} {
+		ctx, cancel := context.WithCancel(context.Background())
+		var once sync.Once
+		eng := NewEngine(WithWorkers(1), WithGangWindow(window),
+			WithAssessHook(func(string) error {
+				once.Do(cancel)
+				return nil
+			}))
+		res, err := eng.Water500(ctx, Water500Request{})
+		cancel()
+		if res != nil {
+			t.Errorf("window %v: canceled Water500 returned a partial result", window)
+		}
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("window %v: error %v does not wrap context.Canceled", window, err)
+		}
+		if err == nil || !strings.Contains(err.Error(), "system ") {
+			t.Errorf("window %v: error %v does not name the canceled system", window, err)
+		}
 	}
 }
 

@@ -40,7 +40,7 @@ func ExampleEngine_Ingest() {
 	if err != nil {
 		panic(err)
 	}
-	eng := thirstyflops.NewEngine(thirstyflops.WithLiveStream(stream))
+	eng := thirstyflops.NewEngine(thirstyflops.WithLiveStreams(thirstyflops.NewStreamRegistry(stream)))
 
 	samples := make([]thirstyflops.Sample, 24)
 	for h := range samples {

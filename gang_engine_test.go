@@ -99,30 +99,37 @@ func TestGangFleetWideOptimum(t *testing.T) {
 	}
 }
 
-// TestGangWindowZeroRestoresPerBatch: window 0 (the default) means no
-// scheduler at all — and so does disabling the planner, since the merged
-// schedule is the planner's.
+// TestGangWindowZeroRestoresPerBatch: window 0 (the default) still
+// schedules every batch, but each concurrent batch runs as its own
+// round — no merges, no cross-job units — and answers correctly.
 func TestGangWindowZeroRestoresPerBatch(t *testing.T) {
-	if NewEngine().CacheStats().Gang != nil {
-		t.Error("default engine has a gang scheduler")
-	}
-	if NewEngine(WithGangWindow(0)).CacheStats().Gang != nil {
-		t.Error("window 0 still built a gang scheduler")
-	}
-	if NewEngine(WithGangWindow(time.Millisecond), WithPlanner(false)).CacheStats().Gang != nil {
-		t.Error("gang scheduler built with the planner disabled")
-	}
-	eng := NewEngine(WithGangWindow(time.Millisecond))
-	if eng.CacheStats().Gang == nil {
-		t.Fatal("no gang scheduler with a positive window")
-	}
-	// And the scheduled path still answers correctly.
-	res, err := eng.AssessMany(context.Background(), interleavedSweep(sweepSystems[:2], []uint64{1}, []int{2030}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != 2 || res[0] == nil || res[1] == nil {
-		t.Fatalf("gang-scheduled batch lost results: %v", res)
+	for _, eng := range []*Engine{NewEngine(), NewEngine(WithGangWindow(0))} {
+		const batches = 3
+		reqs := interleavedSweep(sweepSystems[:2], []uint64{1}, []int{2030})
+		var wg sync.WaitGroup
+		for b := 0; b < batches; b++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				res, err := eng.AssessMany(context.Background(), reqs)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if len(res) != 2 || res[0] == nil || res[1] == nil {
+					t.Errorf("per-batch round lost results: %v", res)
+				}
+			}()
+		}
+		wg.Wait()
+		gs := eng.CacheStats().Gang
+		if gs == nil {
+			t.Fatal("CacheStats.Gang is nil")
+		}
+		if gs.WindowNs != 0 || gs.Rounds != batches || gs.Batches != batches ||
+			gs.MergedBatches != 0 || gs.CoscheduledUnits != 0 || gs.CrossJobUnits != 0 {
+			t.Fatalf("window 0 gang stats = %+v; want %d unmerged rounds", gs, batches)
+		}
 	}
 }
 
@@ -218,7 +225,6 @@ func TestAssessBatchCancelCollapsesErrors(t *testing.T) {
 		eng  *Engine
 	}{
 		{"planner", NewEngine()},
-		{"unplanned", NewEngine(WithPlanner(false))},
 		{"gang", NewEngine(WithGangWindow(time.Millisecond))},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -24,9 +24,9 @@
 //     that submitted it, under the index that batch assigned.
 //
 // The scheduler is deliberately ignorant of what a unit does: callers
-// (Engine.AssessBatch) hand it plan.Items plus a run callback, exactly
-// the contract internal/plan has with its callers, extended across
-// batch boundaries.
+// (Engine.AssessBatch and Engine.Water500, the Engine's only batch
+// paths) hand it plan.Items plus a run callback, exactly the contract
+// internal/plan has with its callers, extended across batch boundaries.
 package gang
 
 import (
@@ -108,7 +108,6 @@ type item struct {
 // exactly-once execution when round workers race the canceled
 // submitter's drain; left counts down to the done close.
 type batch struct {
-	ctx     context.Context
 	run     Run
 	items   []plan.Item
 	claimed []atomic.Bool
@@ -132,8 +131,9 @@ func (b *batch) exec(pos int, crossJob bool) bool {
 
 // New builds a scheduler merging batches that arrive within window of a
 // round opening, planning each round for up to workers parallel spans.
-// A non-positive window degenerates to one round per batch — per-batch
-// planning with an extra hop — so callers gate on window > 0 instead.
+// A non-positive window merges nothing: each batch runs as its own round
+// on the submitting goroutine, with no timer and no pending list — plain
+// per-batch planning.
 func New(window time.Duration, workers int) *Scheduler {
 	if workers < 1 {
 		workers = 1
@@ -147,14 +147,15 @@ func New(window time.Duration, workers int) *Scheduler {
 // once per item, from a round worker goroutine — or, after ctx is
 // canceled, from this goroutine for units no worker had claimed yet, so
 // a canceled batch unblocks at the pace of its own in-flight units, not
-// the whole round's. Submit never fails: cancellation semantics live in
-// run (the engine's run callback reports ctx errors per unit).
+// the whole round's. With a non-positive window the batch is its own
+// round, executed before Submit returns. Submit never fails:
+// cancellation semantics live in run (the engine's run callback reports
+// ctx errors per unit).
 func (s *Scheduler) Submit(ctx context.Context, items []plan.Item, run Run) {
 	if len(items) == 0 {
 		return
 	}
 	b := &batch{
-		ctx:     ctx,
 		run:     run,
 		items:   items,
 		claimed: make([]atomic.Bool, len(items)),
@@ -164,6 +165,14 @@ func (s *Scheduler) Submit(ctx context.Context, items []plan.Item, run Run) {
 
 	s.batches.Add(1)
 	s.units.Add(uint64(len(items)))
+	if s.window <= 0 {
+		round := make([]item, len(items))
+		for pos := range items {
+			round[pos] = item{b, pos}
+		}
+		s.execute(round)
+		return
+	}
 	s.mu.Lock()
 	for pos := range items {
 		s.pending = append(s.pending, item{b, pos})

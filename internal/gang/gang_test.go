@@ -133,7 +133,7 @@ func TestCancellationIsolation(t *testing.T) {
 
 	var ranB atomic.Int32
 	var canceledA atomic.Int32
-	release := make(chan struct{})
+	started, release := make(chan struct{}), make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(2)
 	aDone := make(chan struct{})
@@ -148,6 +148,7 @@ func TestCancellationIsolation(t *testing.T) {
 			// First unit stalls until released, holding the single
 			// worker mid-span.
 			if i == 0 {
+				close(started)
 				<-release
 			}
 		})
@@ -159,17 +160,17 @@ func TestCancellationIsolation(t *testing.T) {
 		})
 	}()
 
-	// Give the round time to start, then cancel A while its first unit
-	// blocks the worker. A's submitter must drain its remaining units
-	// itself and return even though the worker is stuck.
-	time.Sleep(50 * time.Millisecond)
+	// Wait for the round to claim A's first unit, then cancel A while
+	// that unit blocks the worker. A's submitter must drain its
+	// remaining units itself and return even though the worker is stuck.
+	<-started
 	cancelA()
 	select {
 	case <-aDone:
 		t.Fatal("batch A finished while its first unit still holds the worker")
 	case <-time.After(10 * time.Millisecond):
 	}
-	release <- struct{}{}
+	close(release)
 	wg.Wait()
 
 	if ranB.Load() != 8 {
@@ -180,6 +181,46 @@ func TestCancellationIsolation(t *testing.T) {
 	}
 	if st := s.Stats(); st.DrainedUnits == 0 {
 		t.Fatalf("no units drained by the canceled submitter: %+v", st)
+	}
+}
+
+// TestZeroWindowRunsEachBatchAsItsOwnRound: with no merge window,
+// concurrent submitters never share a round, every unit still runs
+// exactly once, and a pre-canceled batch still hands each unit to run.
+func TestZeroWindowRunsEachBatchAsItsOwnRound(t *testing.T) {
+	s := New(0, 2)
+	const submitters, units = 6, 9
+	counts := make([][]atomic.Int32, submitters)
+	var wg sync.WaitGroup
+	for g := range counts {
+		counts[g] = make([]atomic.Int32, units)
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			s.Submit(context.Background(), itemsFor(units, 1, 2), func(i int, _ bool) {
+				counts[g][i].Add(1)
+			})
+		}(g)
+	}
+	wg.Wait()
+	for g := range counts {
+		for i := range counts[g] {
+			if got := counts[g][i].Load(); got != 1 {
+				t.Fatalf("submitter %d unit %d ran %d times, want 1", g, i, got)
+			}
+		}
+	}
+	st := s.Stats()
+	if st.Rounds != submitters || st.MergedBatches != 0 || st.CoscheduledUnits != 0 || st.CrossJobUnits != 0 {
+		t.Fatalf("window 0 merged batches: %+v", st)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	var ran atomic.Int32
+	s.Submit(ctx, itemsFor(units, 1), func(int, bool) { ran.Add(1) })
+	if ran.Load() != units {
+		t.Fatalf("pre-canceled batch ran %d of %d units", ran.Load(), units)
 	}
 }
 

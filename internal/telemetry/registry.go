@@ -125,20 +125,6 @@ func (r *Registry) Streams() []*Stream {
 	return out
 }
 
-// Single returns the registry's only stream when exactly one is
-// registered, or the wildcard stream when several are — the stream a
-// caller written against the pre-registry single-stream API should see.
-func (r *Registry) Single() *Stream {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if len(r.streams) == 1 {
-		for _, s := range r.streams {
-			return s
-		}
-	}
-	return r.streams[""]
-}
-
 // Statuses snapshots every registered stream's /livez view, ordered by
 // system label. Each snapshot is the stream's own atomic Status; the
 // set is not globally atomic (feeds keep posting between rows).

@@ -87,29 +87,6 @@ func TestRegistryRegisterReplaces(t *testing.T) {
 	}
 }
 
-func TestRegistrySingle(t *testing.T) {
-	r := NewRegistry()
-	if r.Single() != nil {
-		t.Error("empty registry has a single stream")
-	}
-	pinned := mustStream(t, "Frontier", 0, 24)
-	r.Register(pinned)
-	if r.Single() != pinned {
-		t.Error("lone stream not returned")
-	}
-	wild := mustStream(t, "", 0, 24)
-	r.Register(wild)
-	if r.Single() != wild {
-		t.Error("multi-stream registry should fall back to the wildcard")
-	}
-	r2 := NewRegistry()
-	r2.Register(mustStream(t, "A", 0, 24))
-	r2.Register(mustStream(t, "B", 0, 24))
-	if r2.Single() != nil {
-		t.Error("two pinned streams have no single fallback")
-	}
-}
-
 func TestRegistryStatusesAndSummarize(t *testing.T) {
 	r := NewRegistry()
 	a := mustStream(t, "A", 0, 24)

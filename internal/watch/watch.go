@@ -85,10 +85,10 @@ type Event[T any] struct {
 type Stats struct {
 	// Systems is the number of topics (systems ever subscribed to);
 	// Subscribers is the current live subscriber count.
-	Systems     int   `json:"systems"`
-	Subscribers int   `json:"subscribers"`
-	MaxSubs     int   `json:"max_subscribers,omitempty"`
-	Buffer      int   `json:"buffer"`
+	Systems     int `json:"systems"`
+	Subscribers int `json:"subscribers"`
+	MaxSubs     int `json:"max_subscribers,omitempty"`
+	Buffer      int `json:"buffer"`
 
 	// Published counts events emitted by pumps (one per epoch advance
 	// per system with subscribers); Enqueued counts per-subscriber queue

@@ -32,7 +32,7 @@ func liveResult(t testing.TB) *thirstyflops.AssessResult {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := thirstyflops.NewEngine(thirstyflops.WithLiveStream(stream))
+	eng := thirstyflops.NewEngine(thirstyflops.WithLiveStreams(thirstyflops.NewStreamRegistry(stream)))
 	for h := 0; h < 24; h++ {
 		if _, err := eng.Ingest(thirstyflops.Sample{Hour: h, Power: 2.1e7}); err != nil {
 			t.Fatal(err)

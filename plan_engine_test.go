@@ -2,11 +2,9 @@ package thirstyflops
 
 // Planner-effectiveness tests and benchmarks: a shuffled multi-site
 // sweep executed through the substrate-aware planner must generate each
-// shared substrate year exactly once, where the unplanned arrival-order
-// baseline regenerates years all sweep long under a bounded substrate
-// cache. BenchmarkSweepPlanned / BenchmarkSweepUnplanned record the
-// wall-clock side of the same story in BENCH_PR4.json, gated by
-// cmd/benchcheck in `make bench`.
+// shared substrate year exactly once, even under a bounded substrate
+// cache. BenchmarkSweepPlanned records the wall-clock side of the same
+// story in BENCH_PR4.json, gated by cmd/benchcheck in `make bench`.
 
 import (
 	"context"
@@ -102,34 +100,6 @@ func TestPlannerNeverRegeneratesSharedSubstrate(t *testing.T) {
 			t.Errorf("trial %d: batch execution leaked into unplanned counters: %+v", trial, stats)
 		}
 	}
-}
-
-// TestPlannerBeatsUnplannedOrder is the acceptance assertion behind the
-// BENCH_PR4 benchmarks: the same shuffled sweep, same engine settings,
-// same squeezed substrate cache — planned execution performs measurably
-// fewer substrate generations than unplanned arrival order.
-func TestPlannerBeatsUnplannedOrder(t *testing.T) {
-	restoreSubstrate(t)
-	seeds := []uint64{1, 2}
-	years := []int{2030, 2031, 2032}
-	reqs := interleavedSweep(sweepSystems, seeds, years)
-
-	run := func(planner bool) uint64 {
-		eng := NewEngine(WithCache(0), WithWorkers(1), WithPlanner(planner))
-		return generationsDuring(t, 2, func() {
-			if _, err := eng.AssessMany(context.Background(), reqs); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-	planned := run(true)
-	unplanned := run(false)
-	if planned*2 > unplanned {
-		t.Fatalf("planned execution generated %d years vs %d unplanned; want at least a 2x reduction",
-			planned, unplanned)
-	}
-	t.Logf("substrate generations: planned %d, unplanned %d (%.1fx fewer)",
-		planned, unplanned, float64(unplanned)/float64(planned))
 }
 
 // TestSweepAndSingleAssessSplitSubstrateCounters asserts the
@@ -272,15 +242,16 @@ func benchSweep() []AssessRequest {
 	return interleavedSweep(sweepSystems, []uint64{seed}, []int{2030, 2031, 2032})
 }
 
-// benchSweepEngine runs the planner-effectiveness benchmark body: the
-// engine result cache is disabled (every request re-derives from the
-// substrate) and the substrate layer is squeezed to two entries per
-// cache so execution order is what decides how often years regenerate.
-func benchSweepEngine(b *testing.B, planner bool) {
+// BenchmarkSweepPlanned: the shuffled sweep through the substrate-aware
+// planner, gated against BENCH_PR4.json. The engine result cache is
+// disabled (every request re-derives from the substrate) and the
+// substrate layer is squeezed to two entries per cache so execution
+// order is what decides how often years regenerate.
+func BenchmarkSweepPlanned(b *testing.B) {
 	b.ReportAllocs()
 	defer substrate.SetCapacity(substrate.DefaultCapacity)
 	substrate.SetCapacity(2)
-	eng := NewEngine(WithCache(0), WithWorkers(4), WithPlanner(planner))
+	eng := NewEngine(WithCache(0), WithWorkers(4))
 	reqs := benchSweep()
 	ctx := context.Background()
 	b.ResetTimer()
@@ -290,18 +261,9 @@ func benchSweepEngine(b *testing.B, planner bool) {
 		}
 	}
 	b.StopTimer()
-	stats := eng.CacheStats().Substrate
-	misses := stats.PlannedMisses + stats.UnplannedMisses
+	misses := eng.CacheStats().Substrate.PlannedMisses
 	b.ReportMetric(float64(misses)/float64(b.N), "generations/op")
 }
-
-// BenchmarkSweepPlanned: the shuffled sweep through the substrate-aware
-// planner. Gated against BENCH_PR4.json.
-func BenchmarkSweepPlanned(b *testing.B) { benchSweepEngine(b, true) }
-
-// BenchmarkSweepUnplanned: the same sweep in arrival order — the
-// pre-planner baseline the BENCH_PR4 record keeps for comparison.
-func BenchmarkSweepUnplanned(b *testing.B) { benchSweepEngine(b, false) }
 
 // BenchmarkPlanBuild prices the planning step itself on a 1024-request
 // batch, to show scheduling is noise next to one saved generation.

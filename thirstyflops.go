@@ -19,12 +19,12 @@
 // construction.
 //
 // An Engine can also assess against observed rather than simulated
-// demand: attach a live telemetry Stream (NewStream, WithLiveStream),
-// feed it via Engine.Ingest or the daemon's POST /ingest, and request
-// AssessRequest{Source: SourceLive} — the observed window is spliced
-// over the simulated year, the result carries its provenance (LiveInfo),
-// and live cache entries are keyed by the stream epoch so they never
-// outlive the samples they were computed from.
+// demand: attach live telemetry Streams (NewStream, NewStreamRegistry,
+// WithLiveStreams), feed them via Engine.Ingest or the daemon's POST
+// /ingest, and request AssessRequest{Source: SourceLive} — the observed
+// window is spliced over the simulated year, the result carries its
+// provenance (LiveInfo), and live cache entries are keyed by the stream
+// epoch so they never outlive the samples they were computed from.
 //
 // The remainder of the package re-exports the assembled toolkit:
 //
@@ -413,17 +413,23 @@ func PowerLogFor(sys System, d DemandModel, seed uint64, year int) PowerLog {
 
 // NewStream builds a live telemetry ring buffer retaining the most
 // recent windowHours of observed samples. Attach it to an Engine with
-// WithLiveStream, feed it via Engine.Ingest (or the daemon's POST
+// WithLiveStreams(NewStreamRegistry(stream)), feed it via Engine.Ingest (or the daemon's POST
 // /ingest), and assess against it with AssessRequest.Source = SourceLive.
 func NewStream(system string, year int, windowHours int) (*Stream, error) {
 	return telemetry.NewStream(system, year, windowHours)
 }
 
-// NewStreamRegistry builds an empty per-system stream registry. Register
-// one Stream per fleet system (plus an optional wildcard), attach it
-// with WithLiveStreams, and samples plus source="live" requests route by
-// system name.
-func NewStreamRegistry() *StreamRegistry { return telemetry.NewRegistry() }
+// NewStreamRegistry builds a per-system stream registry holding streams.
+// Register one Stream per fleet system (plus an optional wildcard),
+// attach it with WithLiveStreams, and samples plus source="live"
+// requests route by system name.
+func NewStreamRegistry(streams ...*Stream) *StreamRegistry {
+	r := telemetry.NewRegistry()
+	for _, s := range streams {
+		r.Register(s)
+	}
+	return r
+}
 
 // ErrNoLiveStream reports a sample or live assessment routed to a system
 // with no registered stream; the daemon maps it to a 404-style answer.
