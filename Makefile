@@ -32,7 +32,7 @@
 # under the race detector, alongside the store fault-injection and
 # engine degraded-mode tests.
 
-GATED_BENCHES = ^(BenchmarkEngineAssessCold|BenchmarkEngineAssessColdIsolated|BenchmarkEngineAssessCached|BenchmarkConfigFingerprint|BenchmarkAssessYear|BenchmarkFCFS|BenchmarkEASYBackfill|BenchmarkStartTimeRanking|BenchmarkStartTimeRankingFullYear|BenchmarkWUECurveSeries|BenchmarkWUECurveTable|BenchmarkWeatherYear|BenchmarkGridYear)$$
+GATED_BENCHES = ^(BenchmarkEngineAssessCold|BenchmarkEngineAssessColdIsolated|BenchmarkEngineAssessLiveTick|BenchmarkEngineAssessCached|BenchmarkConfigFingerprint|BenchmarkAssessYear|BenchmarkFCFS|BenchmarkEASYBackfill|BenchmarkStartTimeRanking|BenchmarkStartTimeRankingFullYear|BenchmarkWUECurveSeries|BenchmarkWUECurveTable|BenchmarkWeatherYear|BenchmarkGridYear)$$
 
 GATED_DAEMON_BENCHES = ^(BenchmarkDaemonAssess|BenchmarkDaemonAssessLive|BenchmarkDaemonIngest)$$
 

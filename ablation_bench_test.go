@@ -1,8 +1,8 @@
 package thirstyflops_test
 
-// Ablation benchmarks: quantify the modeling choices DESIGN.md calls out
-// by running each variant and reporting the resulting metric alongside
-// the timing (b.ReportMetric). Run with:
+// Ablation benchmarks: quantify the modeling choices behind the layers
+// docs/ARCHITECTURE.md describes by running each variant and reporting
+// the resulting metric alongside the timing (b.ReportMetric). Run with:
 //
 //	go test -bench=Ablation -benchtime=1x
 

@@ -1,7 +1,7 @@
 package thirstyflops_test
 
-// One benchmark per table and figure of the paper's evaluation (see
-// DESIGN.md's per-experiment index), plus micro-benchmarks of the hot
+// One benchmark per table and figure of the paper's evaluation (the
+// index is experiments.IDs()), plus micro-benchmarks of the hot
 // modeling paths. Each experiment benchmark regenerates the full artifact
 // — run `go test -bench=. -benchmem` to both time them and confirm they
 // produce output.

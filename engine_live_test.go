@@ -7,6 +7,10 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"thirstyflops/internal/fingerprint"
+	"thirstyflops/internal/series"
+	"thirstyflops/internal/units"
 )
 
 func newLiveEngine(t *testing.T, system string, window int) (*Engine, *Stream) {
@@ -271,4 +275,129 @@ func TestEngineLiveConcurrentIngestAndAssess(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// channelDigest hashes a series' PUE and every channel's float bits.
+func channelDigest(s series.Series) fingerprint.Key {
+	h := fingerprint.New()
+	defer h.Release()
+	h.Float(float64(s.PUE))
+	for i := range s.Energy {
+		h.Float(float64(s.Energy[i]))
+		h.Float(float64(s.WUE[i]))
+		h.Float(float64(s.EWF[i]))
+		h.Float(float64(s.Carbon[i]))
+	}
+	return h.Sum()
+}
+
+// sharesIntensities reports whether y's WUE, EWF and carbon channels
+// are base's arrays rather than copies.
+func sharesIntensities(y, base series.Series) bool {
+	return &y.WUE[0] == &base.WUE[0] && &y.EWF[0] == &base.EWF[0] && &y.Carbon[0] == &base.Carbon[0]
+}
+
+// TestSharedBaseSpliceRace splices live years from one simulated base on
+// several goroutines while others read the base's channels and an Engine
+// serves live assessments over the same memoized substrate years. Under
+// -race it proves the shared intensity channels are only ever read.
+// Afterwards the base is bit-identical, every spliced year owns its
+// energy channel, and every live year shares the base's intensities.
+func TestSharedBaseSpliceRace(t *testing.T) {
+	cfg, err := AssessRequest{System: "Frontier"}.resolveConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := cfg.Assess()
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := channelDigest(base.Hourly)
+	totals := base.Hourly.Totals()
+
+	const window, splicers, readers, servers, iters = 336, 4, 2, 2, 16
+	eng, _ := newLiveEngine(t, "", window)
+	ctx := context.Background()
+	req := AssessRequest{System: "Frontier", Source: SourceLive}
+	if _, err := eng.Assess(ctx, req); err != nil {
+		t.Fatal(err) // warm the simulated base outside the race
+	}
+
+	spliced := make([][]series.Series, splicers)
+	var wg sync.WaitGroup
+	for g := 0; g < splicers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			stream, err := NewStream("", 0, window)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for i := 0; i < iters; i++ {
+				if err := stream.Ingest(Sample{Hour: g*iters + i, Power: units.Watts(1e6 * float64(g+1))}); err != nil {
+					t.Error(err)
+					return
+				}
+				spliced[g] = append(spliced[g], stream.Window().SpliceInto(base.Hourly))
+			}
+		}(g)
+	}
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < iters; i++ {
+				if base.Hourly.Totals() != totals {
+					t.Error("shared base changed under concurrent splicing")
+					return
+				}
+			}
+		}()
+	}
+	for s := 0; s < servers; s++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			for i := 0; i < iters; i++ {
+				if _, err := eng.Ingest(Sample{Hour: s*iters + i, Power: 2e6}); err != nil {
+					t.Error(err)
+					return
+				}
+				res, err := eng.Assess(ctx, req)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if res.Live == nil || res.Source != SourceLive {
+					t.Error("live provenance missing under concurrency")
+					return
+				}
+			}
+		}(s)
+	}
+	wg.Wait()
+
+	if channelDigest(base.Hourly) != before {
+		t.Fatal("shared base's channels changed")
+	}
+	owners := map[*units.KWh]bool{&base.Hourly.Energy[0]: true}
+	for _, ys := range spliced {
+		for _, y := range ys {
+			if owners[&y.Energy[0]] {
+				t.Fatal("two years share one energy array")
+			}
+			owners[&y.Energy[0]] = true
+			if !sharesIntensities(y, base.Hourly) {
+				t.Fatal("spliced year copied the base's intensity channels")
+			}
+		}
+	}
+	live, _, _, err := eng.liveAnnualFor(cfg, subUnplanned)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if owners[&live.Hourly.Energy[0]] || !sharesIntensities(live.Hourly, base.Hourly) {
+		t.Fatal("the engine's live year does not share the memoized substrate channels")
+	}
 }

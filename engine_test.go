@@ -579,6 +579,39 @@ func BenchmarkEngineAssessColdIsolated(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineAssessLiveTick is one live telemetry tick: an Ingest
+// advances the stream epoch, so the following Assess(source=live)
+// misses the memo and splices the window over the memoized simulated
+// year. It gates the live-miss path, which the daemon's live benchmark
+// (served from the epoch cache) does not reach.
+func BenchmarkEngineAssessLiveTick(b *testing.B) {
+	const window = 336
+	stream, err := NewStream("", 0, window)
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng := NewEngine(WithLiveStreams(NewStreamRegistry(stream)))
+	ctx := context.Background()
+	req := AssessRequest{System: "Frontier", Source: SourceLive}
+	if _, err := eng.Assess(ctx, req); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := eng.Ingest(Sample{Hour: i % window, Power: 2.1e7}); err != nil {
+			b.Fatal(err)
+		}
+		res, err := eng.Assess(ctx, req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Cached {
+			b.Fatal("a fresh epoch was served from the memo")
+		}
+	}
+}
+
 func BenchmarkEngineAssessCached(b *testing.B) {
 	eng := NewEngine()
 	req := AssessRequest{System: "Frontier"}

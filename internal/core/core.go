@@ -106,13 +106,16 @@ func (c Config) Validate() error {
 // plus aggregate footprints. All downstream figures draw from this
 // struct. Like the aggregates, the annual-mean water intensities are
 // fixed when AnnualFrom builds the year; rebuild it with AnnualFrom after
-// changing Hourly.
+// replacing Hourly (with an edited Clone, never by writing in place).
 type Annual struct {
 	System string
 
 	// Hourly is the aligned timeline (stats.HoursPerYear long) of IT
 	// energy, WUE, EWF, and carbon intensity; its PUE field carries the
-	// facility overhead used throughout the derived accounting.
+	// facility overhead used throughout the derived accounting. The
+	// intensity channels alias shared substrate state (every year of the
+	// same site, region and seed reads the same hours), so Hourly is
+	// read-only: Clone it before writing to any channel.
 	Hourly series.Series
 
 	// Aggregates.
@@ -135,8 +138,10 @@ type Annual struct {
 //
 // The substrate years are pure functions of (identity, seed) and are
 // memoized across Configs by internal/substrate, so a sweep that shares a
-// site, region, curve, or demand model generates each year once; the
-// values copied into the result are bit-identical to direct generation.
+// site, region, curve, or demand model generates each year once. Only the
+// energy channel is allocated per assessment; the result's WUE, EWF and
+// carbon channels alias the memoized years, whose values are
+// bit-identical to direct generation.
 func (c Config) Assess() (Annual, error) {
 	a, _, err := c.AssessTraced()
 	return a, err
@@ -168,16 +173,17 @@ func (c Config) AssessTraced() (Annual, SubstrateTrace, error) {
 		return Annual{}, tr, fmt.Errorf("core: substrate series lengths differ")
 	}
 
-	s, err := series.New(c.System.PUE, len(util))
+	// Only the energy channel belongs to this machine; the intensity
+	// channels alias the memoized substrate years (series channels are
+	// read-only after construction).
+	draw := make([]units.KWh, len(util))
+	for h := range util {
+		draw[h] = c.System.PowerAt(util[h]).EnergyOver(1)
+	}
+	s, err := series.From(c.System.PUE, draw, wueYr, grid.EWF, grid.Carbon)
 	if err != nil {
 		return Annual{}, tr, fmt.Errorf("core: %w", err)
 	}
-	for h := range util {
-		s.Energy[h] = c.System.PowerAt(util[h]).EnergyOver(1)
-	}
-	copy(s.WUE, wueYr)
-	copy(s.EWF, grid.EWF)
-	copy(s.Carbon, grid.Carbon)
 	return AnnualFrom(c.System.Name, s), tr, nil
 }
 

@@ -86,3 +86,59 @@ func TestAssessSharesSubstrateAcrossSeeds(t *testing.T) {
 		t.Error("different seed was served from the substrate cache")
 	}
 }
+
+// sameArray reports whether two non-empty slices start at the same
+// element, i.e. share one backing array.
+func sameArray[T any](a, b []T) bool {
+	return len(a) > 0 && len(b) > 0 && &a[0] == &b[0]
+}
+
+// TestSharedSubstrateChannelsAlias pins the sharing contract of
+// Config.Assess: two machines assessed at the same (site, region, seed)
+// get private energy channels but alias one set of memoized intensity
+// channels, and writing to a Clone of one year leaves the other bit
+// identical.
+func TestSharedSubstrateChannelsAlias(t *testing.T) {
+	t.Cleanup(func() { substrate.SetCapacity(substrate.DefaultCapacity) })
+	substrate.SetCapacity(substrate.DefaultCapacity)
+
+	cfgA := mustConfig(t, "Frontier")
+	cfgB := cfgA
+	cfgB.System.Name = "Frontier (half size)"
+	cfgB.System.PeakPower /= 2
+	a, err := cfgA.Assess()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := cfgB.Assess()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if sameArray(a.Hourly.Energy, b.Hourly.Energy) {
+		t.Error("two machines share one energy channel")
+	}
+	if !sameArray(a.Hourly.WUE, b.Hourly.WUE) || !sameArray(a.Hourly.EWF, b.Hourly.EWF) ||
+		!sameArray(a.Hourly.Carbon, b.Hourly.Carbon) {
+		t.Error("intensity channels of a shared (site, region, seed) were copied, not aliased")
+	}
+
+	want := b.Hourly.Clone()
+	c := a.Hourly.Clone()
+	for h := range c.Energy {
+		c.Energy[h] = -1
+		c.WUE[h] = -1
+		c.EWF[h] = -1
+		c.Carbon[h] = -1
+	}
+	if !b.Hourly.Equal(want) {
+		t.Fatal("writing to a Clone reached a year that shares its substrate")
+	}
+	again, err := cfgA.Assess()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !again.Hourly.Equal(a.Hourly) || again.Operational() != a.Operational() {
+		t.Fatal("writing to a Clone changed the memoized substrate")
+	}
+}

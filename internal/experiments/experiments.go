@@ -1,8 +1,9 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation from the ThirstyFLOPS substrates. Each generator returns an
 // Output holding the rendered text; the waterbench CLI prints them and the
-// top-level benchmarks time them. The per-experiment index lives in
-// DESIGN.md; paper-vs-measured comparisons live in EXPERIMENTS.md.
+// top-level benchmarks time them. IDs lists the experiments in
+// presentation order; docs/ARCHITECTURE.md describes the model layers
+// they draw on.
 package experiments
 
 import (

@@ -6,6 +6,13 @@
 // energy. Replacing the seed's loose parallel []float64-style slices with
 // one value eliminates the misaligned-length error class: a validated
 // Series cannot have channels of different lengths.
+//
+// Channels are read-only once a Series is constructed. From aliases the
+// slices it is given and Slice the channels of its series, so one
+// intensity channel may back many series at once: every year assessed
+// at the same site, grid and seed shares the memoized WUE, EWF and
+// carbon hours, and a live year shares them with the simulated year it
+// was spliced from. Clone before you mutate any channel.
 package series
 
 import (
@@ -50,7 +57,8 @@ func New(pue units.PUE, n int) (Series, error) {
 }
 
 // From assembles a series from existing channels, validating alignment.
-// The channels are used directly, not copied.
+// The channels are aliased, not copied: the caller must not write to
+// them afterwards.
 func From(pue units.PUE, energy []units.KWh, wue, ewf []units.LPerKWh,
 	carbon []units.GCO2PerKWh) (Series, error) {
 	s := Series{PUE: pue, Energy: energy, WUE: wue, EWF: ewf, Carbon: carbon}
@@ -244,7 +252,9 @@ func (s Series) Slice(lo, hi int) (Series, error) {
 	}, nil
 }
 
-// Clone deep-copies the series so the caller can mutate it freely.
+// Clone deep-copies the series so the caller can mutate it freely; it
+// is the only sanctioned way to obtain writable channels from a series
+// built elsewhere.
 func (s Series) Clone() Series {
 	return Series{
 		PUE:    s.PUE,

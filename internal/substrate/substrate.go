@@ -12,8 +12,10 @@
 // generated once per process and shared.
 //
 // Returned slices are shared cache state: callers must treat them as
-// read-only. core.Config.Assess copies the values into a fresh Series, so
-// no cached slice escapes to API consumers.
+// read-only. core.Config.Assess aliases the WUE, EWF and carbon years in
+// the Series it returns instead of copying them, so these slices reach
+// API consumers through Annual.Hourly, under the series package's
+// read-only channel contract.
 package substrate
 
 import (

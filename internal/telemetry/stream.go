@@ -197,14 +197,16 @@ func (s *Stream) Window() LiveWindow {
 	return w
 }
 
-// SpliceInto overlays the window's observed energy onto a clone of a
-// simulated hourly timeline: observed hours replace the modeled demand,
-// unobserved hours (gaps inside the window and everything outside it)
-// keep the simulation. The intensity channels are untouched — live
-// telemetry reports what the machine drew, the site and grid models
-// still price each hour's water and carbon.
+// SpliceInto overlays the window's observed energy onto a simulated
+// hourly timeline: observed hours replace the modeled demand, unobserved
+// hours (gaps inside the window and everything outside it) keep the
+// simulation. Only the energy channel is copied; the result shares base's
+// WUE, EWF and carbon channels — live telemetry reports what the machine
+// drew, the site and grid models still price each hour's water and
+// carbon. base is not modified.
 func (w LiveWindow) SpliceInto(base series.Series) series.Series {
-	out := base.Clone()
+	out := base
+	out.Energy = append([]units.KWh(nil), base.Energy...)
 	for i, ok := range w.Observed {
 		if h := w.Lo + i; ok && h < out.Len() {
 			out.Energy[h] = w.Energy[i]

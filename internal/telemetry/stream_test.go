@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"thirstyflops/internal/fingerprint"
+	"thirstyflops/internal/series"
 	"thirstyflops/internal/stats"
 	"thirstyflops/internal/units"
 )
@@ -287,6 +288,53 @@ func TestStreamSeriesMatchesPowerLogSeries(t *testing.T) {
 	}
 	if !got.Equal(want) {
 		t.Fatal("stream-materialized series differs from PowerLog.Series on identical samples")
+	}
+}
+
+// TestSpliceIntoSharesIntensities pins the splice contract: observed
+// hours replace the base energy, every other hour keeps it, the energy
+// channel is a private copy, the intensity channels alias the base, and
+// the base is left untouched.
+func TestSpliceIntoSharesIntensities(t *testing.T) {
+	const n = 48
+	base, err := series.New(1.2, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for h := 0; h < n; h++ {
+		base.Energy[h] = units.KWh(100 + h)
+		base.WUE[h] = units.LPerKWh(0.5 + 0.01*float64(h))
+		base.EWF[h] = units.LPerKWh(2 + 0.02*float64(h))
+		base.Carbon[h] = units.GCO2PerKWh(300 + float64(h))
+	}
+	want := base.Clone()
+
+	s := mustStream(t, "", 0, 8)
+	for _, h := range []int{10, 12, 13} {
+		if err := s.Ingest(Sample{Hour: h, Power: 7e3}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w := s.Window()
+	got := w.SpliceInto(base)
+
+	if !base.Equal(want) {
+		t.Fatal("SpliceInto modified its base")
+	}
+	if &got.Energy[0] == &base.Energy[0] {
+		t.Fatal("spliced energy channel aliases the base")
+	}
+	if &got.WUE[0] != &base.WUE[0] || &got.EWF[0] != &base.EWF[0] || &got.Carbon[0] != &base.Carbon[0] {
+		t.Fatal("spliced intensity channels were copied, not shared")
+	}
+	for h := 0; h < n; h++ {
+		e := base.Energy[h]
+		if h == 10 || h == 12 || h == 13 {
+			e = units.Watts(7e3).EnergyOver(1)
+		}
+		if got.Energy[h] != e {
+			t.Errorf("hour %d: spliced energy %v, want %v", h, got.Energy[h], e)
+		}
 	}
 }
 

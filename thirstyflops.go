@@ -131,7 +131,9 @@ type (
 	// Config wires a system to its site, grid, cooling, demand, and
 	// embodied parameters.
 	Config = core.Config
-	// Annual is one assessed year of operation.
+	// Annual is one assessed year of operation. Its Hourly intensity
+	// channels alias shared substrate state: Clone the series before
+	// writing to it.
 	Annual = core.Annual
 	// Monthly carries per-month aggregates for seasonal analyses.
 	Monthly = core.Monthly
