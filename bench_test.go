@@ -88,16 +88,6 @@ func BenchmarkWUECurveSeries(b *testing.B) {
 	}
 }
 
-func BenchmarkWUECurveTable(b *testing.B) {
-	tab := wue.DefaultCurve().Tabulate(50)
-	wbs := weather.WetBulbSeries(weather.Kobe().HourlyYear(1))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = tab.Series(wbs)
-	}
-}
-
 func BenchmarkAssessYear(b *testing.B) {
 	cfg, err := core.ConfigFor("Frontier")
 	if err != nil {
@@ -202,8 +192,8 @@ func BenchmarkStartTimeRanking(b *testing.B) {
 // BenchmarkStartTimeRankingFullYear sweeps every feasible start hour of a
 // year at 24 h duration — the workload the prefix-sum/sliding-window
 // kernels exist for. The seed implementation evaluated this in
-// O(candidates × duration); this must stay ≥10x faster (see
-// BENCH_PR2.json's before/after record).
+// O(candidates × duration); this must stay ≥10x faster (see its
+// seed_ns_op in BENCH.json).
 func BenchmarkStartTimeRankingFullYear(b *testing.B) {
 	cfg, err := core.ConfigFor("Frontier")
 	if err != nil {

@@ -5,8 +5,8 @@ package main
 // through real HTTP round trips (httptest server, keep-alive client,
 // parallel requesters) so the measured cost includes routing, the
 // negotiated codecs (JSON, binary wire, NDJSON streaming), and the
-// Engine behind them. The numbers are recorded in BENCH_PR3.json and
-// BENCH_PR8.json and gated by `make bench` via cmd/benchcheck.
+// Engine behind them. The numbers are recorded in BENCH.json and gated
+// by `make bench` via cmd/benchcheck.
 
 import (
 	"context"

@@ -79,8 +79,7 @@ func main() {
 		workers     = flag.Int("workers", 0, "assessment fan-out width (0 = GOMAXPROCS)")
 		cache       = flag.Int("cache", 256, "max memoized assessments (0 disables)")
 		liveWindow  = flag.Int("live-window", 336, "hours of live telemetry retained for source=live (0 disables /ingest)")
-		liveSystem  = flag.String("live-system", "", "system the live stream observes (empty accepts any)")
-		liveSystems = flag.String("live-systems", "", "comma-separated fleet systems, one pinned live stream each (multi-stream routing)")
+		liveSystems = flag.String("live-systems", "", "comma-separated fleet systems, one pinned live stream each (empty: one stream accepting any system)")
 		liveYear    = flag.Int("live-year", 0, "assessment year the live streams are pinned to (0 accepts any)")
 		ingestToken = flag.String("ingest-token", "", "when set, POST /ingest requires 'Authorization: Bearer <token>'")
 		udpAddr     = flag.String("udp-addr", "", "statsd-style UDP telemetry listen address (empty disables)")
@@ -107,7 +106,7 @@ func main() {
 		thirstyflops.WithGangWindow(*gangWindow),
 	}
 	if *liveWindow > 0 {
-		reg, err := buildStreams(*liveSystem, *liveSystems, *liveYear, *liveWindow)
+		reg, err := buildStreams(*liveSystems, *liveYear, *liveWindow)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -194,13 +193,12 @@ func main() {
 }
 
 // buildStreams assembles the live-stream registry from the flags: one
-// pinned stream per -live-systems entry, plus the single -live-system
-// stream (the pre-registry flag; its empty default registers the
-// wildcard) when -live-systems is unset. Duplicate names are an error —
-// silently replacing a stream would mis-route a fleet.
-func buildStreams(liveSystem, liveSystems string, year, window int) (*thirstyflops.StreamRegistry, error) {
+// pinned stream per -live-systems entry, or a single wildcard stream when
+// -live-systems is empty. Duplicate names are an error — silently
+// replacing a stream would mis-route a fleet.
+func buildStreams(liveSystems string, year, window int) (*thirstyflops.StreamRegistry, error) {
 	reg := thirstyflops.NewStreamRegistry()
-	names := []string{liveSystem}
+	names := []string{""}
 	if liveSystems != "" {
 		names = names[:0]
 		seen := map[string]bool{}
@@ -217,9 +215,6 @@ func buildStreams(liveSystem, liveSystems string, year, window int) (*thirstyflo
 		}
 		if len(names) == 0 {
 			return nil, fmt.Errorf("-live-systems names no systems")
-		}
-		if liveSystem != "" {
-			return nil, fmt.Errorf("set -live-system or -live-systems, not both")
 		}
 	}
 	for _, n := range names {

@@ -21,7 +21,7 @@ import (
 // assertions on the spliced series are deterministic.
 func newUDPTestServer(t *testing.T, systems string, hour int) (*httptest.Server, *statsd.Server, *thirstyflops.Engine) {
 	t.Helper()
-	reg, err := buildStreams("", systems, 0, 336)
+	reg, err := buildStreams(systems, 0, 336)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,16 +304,13 @@ func TestLivezWithoutUDPOmitsStats(t *testing.T) {
 }
 
 func TestBuildStreams(t *testing.T) {
-	if _, err := buildStreams("", "Frontier,Frontier", 0, 24); err == nil {
+	if _, err := buildStreams("Frontier,Frontier", 0, 24); err == nil {
 		t.Error("duplicate systems accepted")
 	}
-	if _, err := buildStreams("Frontier", "Marconi", 0, 24); err == nil {
-		t.Error("-live-system and -live-systems together accepted")
-	}
-	if _, err := buildStreams("", " , ", 0, 24); err == nil {
+	if _, err := buildStreams(" , ", 0, 24); err == nil {
 		t.Error("empty -live-systems accepted")
 	}
-	reg, err := buildStreams("", " Frontier , Marconi ", 2024, 24)
+	reg, err := buildStreams(" Frontier , Marconi ", 2024, 24)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +321,7 @@ func TestBuildStreams(t *testing.T) {
 		t.Error("year not pinned")
 	}
 	// Default single-stream path: one wildcard stream.
-	reg, err = buildStreams("", "", 0, 24)
+	reg, err = buildStreams("", 0, 24)
 	if err != nil {
 		t.Fatal(err)
 	}

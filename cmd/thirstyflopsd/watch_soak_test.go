@@ -77,7 +77,7 @@ func TestWatchDaemonSoak(t *testing.T) {
 	)
 	systems := []string{"Frontier", "Fugaku", "Polaris"}
 
-	reg, err := buildStreams("", "Frontier,Fugaku,Polaris", 0, 336)
+	reg, err := buildStreams("Frontier,Fugaku,Polaris", 0, 336)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,7 +27,7 @@ import (
 // waits on them.
 func newWatchTestServer(t *testing.T, systems string, hour int, cfg jobsConfig) (*httptest.Server, *statsd.Server, *server) {
 	t.Helper()
-	reg, err := buildStreams("", systems, 0, 336)
+	reg, err := buildStreams(systems, 0, 336)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -475,7 +475,7 @@ func TestWatchClientCancelNoLeak(t *testing.T) {
 // subscriber receives a final shutdown event, Shutdown returns, and
 // goroutines return to baseline.
 func TestWatchServerShutdownDrains(t *testing.T) {
-	reg, err := buildStreams("", "Frontier", 0, 336)
+	reg, err := buildStreams("Frontier", 0, 336)
 	if err != nil {
 		t.Fatal(err)
 	}

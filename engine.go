@@ -11,7 +11,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -44,7 +43,6 @@ import (
 type Engine struct {
 	workers    int
 	maxEntries int
-	shardHint  int
 	shards     []*cache.Cache[fingerprint.Key, core.Annual]
 	streams    *telemetry.Registry
 
@@ -219,24 +217,12 @@ const assessLogName = "assess.log"
 // at typical serving parallelism without fragmenting small caches.
 const defaultShards = 8
 
-// WithShards overrides the cache shard count (default min(8, capacity/4),
-// at least 1). The value is clamped to a power of two no larger than the
-// cache capacity, so the capacity bound is always honored.
-func WithShards(n int) Option {
-	return func(e *Engine) { e.shardHint = n }
-}
-
-// shardCount resolves the effective power-of-two shard count.
+// shardCount resolves the effective power-of-two shard count:
+// min(8, capacity/4), at least 1, so sharding keeps at least 4 entries
+// per shard and never costs meaningful capacity at small cache sizes.
 func (e *Engine) shardCount() int {
-	limit := e.maxEntries
-	hint := e.shardHint
-	if hint <= 0 {
-		// Keep at least 4 entries per shard so sharding never costs
-		// meaningful capacity at small cache sizes.
-		hint = min(defaultShards, limit/4)
-	}
 	n := 1
-	for n*2 <= min(hint, limit) {
+	for n*2 <= min(defaultShards, e.maxEntries/4) {
 		n *= 2
 	}
 	return n
@@ -295,18 +281,6 @@ func (e *Engine) Close() error {
 		return nil
 	}
 	return e.store.Close()
-}
-
-var (
-	defaultEngineOnce sync.Once
-	defaultEngine     *Engine
-)
-
-// DefaultEngine returns the shared package-level Engine backing the
-// deprecated one-shot top-level helpers.
-func DefaultEngine() *Engine {
-	defaultEngineOnce.Do(func() { defaultEngine = NewEngine() })
-	return defaultEngine
 }
 
 // CacheStats reports the Engine's memoization behavior: the sharded

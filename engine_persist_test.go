@@ -18,9 +18,8 @@ import (
 // BenchmarkEngineWarmStartDisk prices a restarted daemon's first answer
 // for a known configuration: open the persistence log, miss the fresh
 // in-memory memo, and decode the year from disk. Compare against
-// BenchmarkEngineAssessColdIsolated (bench_test-gated since PR 2), the
-// full recompute the disk hit replaces — both are recorded side by side
-// in BENCH_PR5.json.
+// BenchmarkEngineAssessColdIsolated, the full recompute the disk hit
+// replaces — both are gated in BENCH.json.
 func BenchmarkEngineWarmStartDisk(b *testing.B) {
 	dir := b.TempDir()
 	seedEng := NewEngine(WithPersistence(dir))

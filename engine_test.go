@@ -396,7 +396,7 @@ func TestEngineShardedCacheConcurrentEviction(t *testing.T) {
 	// Hammer a small sharded cache with more distinct configurations
 	// than it can hold from many goroutines (run with -race): the entry
 	// count must respect the bound and every result must stay correct.
-	eng := NewEngine(WithCache(16), WithShards(4), WithWorkers(8))
+	eng := NewEngine(WithCache(16), WithWorkers(8))
 	ctx := context.Background()
 
 	want := map[uint64]string{}
@@ -444,7 +444,7 @@ func TestEngineLRUOrderingAcrossHits(t *testing.T) {
 	// Single shard, capacity 2: touching the oldest entry must protect
 	// it from the next eviction (the O(1) list must preserve exact LRU
 	// semantics, not just bounded size).
-	eng := NewEngine(WithCache(2), WithShards(1))
+	eng := NewEngine(WithCache(2))
 	ctx := context.Background()
 	assess := func(sys string) {
 		t.Helper()
@@ -496,18 +496,15 @@ func TestEngineWater500Cancellation(t *testing.T) {
 
 func TestEngineShardOptionBounds(t *testing.T) {
 	ctx := context.Background()
-	for _, tc := range []struct{ cacheN, shards int }{
-		{1, 16}, {3, 8}, {64, 64}, {64, 0}, {5, -1},
-	} {
-		eng := NewEngine(WithCache(tc.cacheN), WithShards(tc.shards))
+	for _, cacheN := range []int{1, 3, 5, 64} {
+		eng := NewEngine(WithCache(cacheN))
 		for _, sys := range SystemNames() {
 			if _, err := eng.Assess(ctx, AssessRequest{System: sys}); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if st := eng.CacheStats(); st.Entries > tc.cacheN {
-			t.Errorf("WithCache(%d) WithShards(%d): %d entries exceed bound",
-				tc.cacheN, tc.shards, st.Entries)
+		if st := eng.CacheStats(); st.Entries > cacheN {
+			t.Errorf("WithCache(%d): %d entries exceed bound", cacheN, st.Entries)
 		}
 	}
 }

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -57,11 +58,11 @@ func main() {
 
 	// Where does the water actually go? Rank the systems per unit compute.
 	fmt.Println("\nWater500 (litres per exaFLOP of delivered work):")
-	entries, err := thirstyflops.Water500()
+	ranking, err := thirstyflops.NewEngine().Water500(context.Background(), thirstyflops.Water500Request{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, e := range entries {
+	for _, e := range ranking.Entries {
 		fmt.Printf("  %d. %-9s %7.1f L/EFLOP  (adjusted rank %d)\n",
 			e.Rank, e.System, e.LitersPerEFLOP, e.AdjustedRank)
 	}

@@ -5,8 +5,7 @@ package thirstyflops
 // substrate year once fleet-wide (not once per batch), return results
 // bit-identical to serial per-batch execution, and keep one batch's
 // cancellation from bleeding into another. BenchmarkConcurrentBatches*
-// record the wall-clock side in BENCH_PR10.json, gated by `make
-// bench-gang`.
+// record the wall-clock side in BENCH.json, gated by `make bench`.
 
 import (
 	"context"
@@ -281,7 +280,7 @@ func TestJoinUnitErrorsKeepsRealFailures(t *testing.T) {
 }
 
 // benchConcurrentBatches runs N concurrent copies of the shuffled
-// BENCH_PR4 sweep through one engine and reports substrate generations
+// benchSweep through one engine and reports substrate generations
 // per op (one op = all N batches). With a merge window the batches
 // coalesce into one fleet-wide schedule and each shared year generates
 // once; with window 0 each batch plans alone and the concurrent sweeps
@@ -315,14 +314,14 @@ func benchConcurrentBatches(b *testing.B, window time.Duration) {
 }
 
 // BenchmarkConcurrentBatchesGang: four overlapping batches merged by the
-// fleet-wide gang scheduler. Gated against BENCH_PR10.json.
+// fleet-wide gang scheduler. Gated in BENCH.json.
 func BenchmarkConcurrentBatchesGang(b *testing.B) {
 	benchConcurrentBatches(b, time.Millisecond)
 }
 
 // BenchmarkConcurrentBatchesPerBatch: the same four batches planned
-// per-batch (gang window 0) — the baseline the BENCH_PR10 record keeps
-// for comparison.
+// per-batch (gang window 0) — the baseline BENCH.json gates alongside
+// it for comparison.
 func BenchmarkConcurrentBatchesPerBatch(b *testing.B) {
 	benchConcurrentBatches(b, 0)
 }

@@ -8,7 +8,7 @@ import (
 	"thirstyflops/internal/telemetry"
 )
 
-// The parser benches are gated at 0 allocs/op (BENCH_PR6.json): the
+// The parser benches are recorded at 0 allocs/op (BENCH.json): the
 // telemetry plane's line-rate budget is set by ParsePacket, and one
 // allocation per packet would dominate it.
 

@@ -1,6 +1,6 @@
 package store
 
-// Benchmarks gated by `make bench-store` against BENCH_PR5.json.
+// Benchmarks gated by `make bench` against BENCH.json.
 // BenchmarkWarmStart is the headline: booting the index of a 10k-entry
 // log is the fixed cost a restarted daemon pays to make every one of
 // those entries answerable without recomputation — compare one Open of

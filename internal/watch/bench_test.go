@@ -1,7 +1,7 @@
 package watch
 
-// Fanout latency benches for the push hub, gated by make bench-watch
-// against BENCH_PR9.json. Each iteration advances the epoch, pokes the
+// Fanout latency benches for the push hub, gated by `make bench`
+// against BENCH.json. Each iteration advances the epoch, pokes the
 // topic, and waits until every subscriber has popped the resulting
 // event — so ns/op is the full publish-to-last-delivery latency at the
 // given fanout width, and allocs/op is the per-event cost of the whole

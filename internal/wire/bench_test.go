@@ -7,8 +7,7 @@ import (
 
 // Encode-layer benchmarks behind the daemon's serving numbers: the wire
 // codec against encoding/json on the same results, with and without the
-// 8760-hour series. Gated by BENCH_PR8.json via `make bench`
-// (bench-wire).
+// 8760-hour series. Gated by BENCH.json via `make bench`.
 
 // BenchmarkWireEncodeResult prices one pooled binary encode of a plain
 // result (scenarios + withdrawal, no series) — the zero-alloc hot path.

@@ -102,71 +102,6 @@ func (c Curve) Fingerprint(h *fingerprint.Hasher) {
 	h.Float(float64(c.Cap))
 }
 
-// --- Tabulated evaluation ---
-
-// TableStep is the knot spacing of a tabulated curve: 1/64 °C keeps the
-// interpolation error of the default curve below 1e-6 L/kWh (the curve's
-// second derivative is bounded by 2·Coeff) while the whole table for the
-// -20..50 °C envelope stays under 40 KB.
-const TableStep = 1.0 / 64
-
-// Table is a pre-tabulated Curve for evaluation at scheduling frequency:
-// At replaces the piecewise tanh evaluation with one array lookup and a
-// linear interpolation. Values below the curve cutoff return the exact
-// floor; values past the table top clamp to the last knot (the curve is
-// flat there under its soft cap).
-type Table struct {
-	floor   units.LPerKWh
-	cutoff  float64
-	invStep float64
-	knots   []units.LPerKWh
-}
-
-// Tabulate samples the curve from its cutoff to maxWetBulb (clamped to at
-// least the cutoff) at TableStep spacing.
-func (c Curve) Tabulate(maxWetBulb units.Celsius) *Table {
-	top := math.Max(float64(maxWetBulb), float64(c.Cutoff))
-	n := int(math.Ceil((top-float64(c.Cutoff))/TableStep)) + 2
-	t := &Table{
-		floor:   c.Floor,
-		cutoff:  float64(c.Cutoff),
-		invStep: 1 / TableStep,
-		knots:   make([]units.LPerKWh, n),
-	}
-	for i := range t.knots {
-		t.knots[i] = c.At(units.Celsius(t.cutoff + float64(i)*TableStep))
-	}
-	return t
-}
-
-// At evaluates the tabulated curve. Non-finite inputs are safe: NaN maps
-// to the floor and +Inf clamps to the last knot. The range comparisons
-// happen in float space before any int conversion, because converting an
-// out-of-range float to int is implementation-defined (MinInt on amd64,
-// saturating on arm64) and must never pick an index.
-func (t *Table) At(wetBulb units.Celsius) units.LPerKWh {
-	x := (float64(wetBulb) - t.cutoff) * t.invStep
-	if !(x > 0) { // x <= 0 or NaN: economizer floor
-		return t.floor
-	}
-	if x >= float64(len(t.knots)-1) { // covers +Inf and huge finite inputs
-		return t.knots[len(t.knots)-1]
-	}
-	i := int(x)
-	frac := x - float64(i)
-	a, b := float64(t.knots[i]), float64(t.knots[i+1])
-	return units.LPerKWh(a + (b-a)*frac)
-}
-
-// Series evaluates the tabulated curve over a wet-bulb series.
-func (t *Table) Series(wetBulbs []units.Celsius) []units.LPerKWh {
-	out := make([]units.LPerKWh, len(wetBulbs))
-	for i, wb := range wetBulbs {
-		out[i] = t.At(wb)
-	}
-	return out
-}
-
 // --- Cooling-tower mass balance ---
 
 // LatentHeatKWhPerLiter is the heat removed by evaporating one litre of

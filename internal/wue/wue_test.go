@@ -220,78 +220,3 @@ func TestAnnualWUEOverRealClimatology(t *testing.T) {
 		}
 	}
 }
-
-func TestTabulatedCurveAccuracy(t *testing.T) {
-	// The tabulated lookup must track the exact curve within a bound far
-	// below any physically meaningful WUE difference, across the whole
-	// validity envelope including the floor region and past the table top.
-	c := DefaultCurve()
-	tab := c.Tabulate(50)
-	const maxErr = 1e-5 // L/kWh; actual error is O(Coeff·step²) ≈ 1e-6
-	for wb := -25.0; wb <= 50.0; wb += 0.0137 {
-		exact := float64(c.At(units.Celsius(wb)))
-		got := float64(tab.At(units.Celsius(wb)))
-		if math.Abs(got-exact) > maxErr {
-			t.Fatalf("wet bulb %.4f: table %.8f vs exact %.8f", wb, got, exact)
-		}
-	}
-	// Past the tabulated top the lookup clamps to the last knot: still
-	// within the curve's soft cap and monotonicity envelope.
-	for _, wb := range []float64{51, 60, 200} {
-		got := float64(tab.At(units.Celsius(wb)))
-		if got > float64(c.Cap) || got < float64(tab.At(50))-1e-9 {
-			t.Fatalf("clamped value %v outside [last knot, cap]", got)
-		}
-	}
-	// Below the cutoff the table is exact, not approximate.
-	if tab.At(c.Cutoff-1) != c.Floor {
-		t.Error("table inexact in the floor region")
-	}
-}
-
-func TestTabulatedSeriesMatchesCurveSeries(t *testing.T) {
-	c := DefaultCurve()
-	tab := c.Tabulate(50)
-	wbs := weather.WetBulbSeries(weather.Kobe().HourlyYear(1))
-	exact := c.Series(wbs)
-	fast := tab.Series(wbs)
-	for i := range exact {
-		if math.Abs(float64(exact[i])-float64(fast[i])) > 1e-5 {
-			t.Fatalf("hour %d: %v vs %v", i, fast[i], exact[i])
-		}
-	}
-}
-
-func TestTabulatedCurveNonFiniteInputs(t *testing.T) {
-	// Live telemetry can deliver garbage samples; the lookup must answer
-	// every float, never panic on an index.
-	c := DefaultCurve()
-	tab := c.Tabulate(50)
-	if got := tab.At(units.Celsius(math.NaN())); got != c.Floor {
-		t.Errorf("At(NaN) = %v, want floor", got)
-	}
-	if got := tab.At(units.Celsius(math.Inf(1))); float64(got) > float64(c.Cap) {
-		t.Errorf("At(+Inf) = %v exceeds cap", got)
-	}
-	if got := tab.At(units.Celsius(math.Inf(-1))); got != c.Floor {
-		t.Errorf("At(-Inf) = %v, want floor", got)
-	}
-	// Huge finite inputs clamp (int conversion of out-of-range floats is
-	// implementation-defined and must never be used as an index).
-	if got := tab.At(units.Celsius(1e300)); float64(got) > float64(c.Cap) {
-		t.Errorf("At(1e300) = %v exceeds cap", got)
-	}
-}
-
-func TestTabulateDegenerateDomain(t *testing.T) {
-	// A table over an empty domain (maxWetBulb below the cutoff) still
-	// answers with the floor everywhere below and clamps above.
-	c := DefaultCurve()
-	tab := c.Tabulate(c.Cutoff - 10)
-	if tab.At(c.Cutoff-5) != c.Floor {
-		t.Error("degenerate table lost the floor")
-	}
-	if v := tab.At(c.Cutoff + 100); v < c.Floor {
-		t.Errorf("degenerate table returned %v above the domain", v)
-	}
-}

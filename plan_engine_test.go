@@ -4,7 +4,7 @@ package thirstyflops
 // sweep executed through the substrate-aware planner must generate each
 // shared substrate year exactly once, even under a bounded substrate
 // cache. BenchmarkSweepPlanned records the wall-clock side of the same
-// story in BENCH_PR4.json, gated by cmd/benchcheck in `make bench`.
+// story in BENCH.json, gated by cmd/benchcheck in `make bench`.
 
 import (
 	"context"
@@ -234,7 +234,7 @@ func TestBatchRequestExpand(t *testing.T) {
 	}
 }
 
-// benchSweep is the shuffled multi-site sweep the BENCH_PR4 pair runs: 4
+// benchSweep is the shuffled multi-site sweep the planner benches run: 4
 // systems x 3 years in worst-case interleave, 12 assessments over 4
 // distinct substrates.
 func benchSweep() []AssessRequest {
@@ -243,7 +243,7 @@ func benchSweep() []AssessRequest {
 }
 
 // BenchmarkSweepPlanned: the shuffled sweep through the substrate-aware
-// planner, gated against BENCH_PR4.json. The engine result cache is
+// planner, gated in BENCH.json. The engine result cache is
 // disabled (every request re-derives from the substrate) and the
 // substrate layer is squeezed to two entries per cache so execution
 // order is what decides how often years regenerate.

@@ -41,16 +41,14 @@
 //   - NewMiniAMR provides the parallel AMR stencil mini-app used as the
 //     reference workload.
 //
-// One-shot top-level helpers that predate the Engine (Water500,
-// RunWaterCap, ...) remain as thin wrappers over a package-default Engine;
-// new code should construct an Engine and hold on to it. Custom systems,
+// Assessments and rankings run through an Engine: construct one and hold
+// on to it so its memo is shared across calls. Custom systems,
 // sites, and grids can be assembled from the exported types or loaded
 // from JSON documents (ConfigDocument); see examples/ for runnable
 // walkthroughs.
 package thirstyflops
 
 import (
-	"context"
 	"io"
 
 	"thirstyflops/internal/configio"
@@ -464,19 +462,6 @@ func DefaultDryMix() Mix { return watercap.DefaultDryMix() }
 // cooling and generation over an assessed hourly timeline.
 func RunWaterCap(p WaterCapPolicy, s Series) (WaterCapResult, error) {
 	return watercap.Run(p, s)
-}
-
-// Water500 ranks the bundled systems by operational water per unit of
-// delivered performance.
-//
-// Deprecated: use Engine.Water500, which reuses cached assessments and
-// honors a context.
-func Water500() ([]Water500Entry, error) {
-	res, err := DefaultEngine().Water500(context.Background(), Water500Request{})
-	if err != nil {
-		return nil, err
-	}
-	return res.Entries, nil
 }
 
 // --- Geo-distributed shifting (Takeaway 7) ---

@@ -220,16 +220,6 @@ func TestFacadeWaterCap(t *testing.T) {
 	}
 }
 
-func TestFacadeWater500(t *testing.T) {
-	entries, err := Water500()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 4 || entries[0].Rank != 1 {
-		t.Errorf("Water500 malformed: %+v", entries)
-	}
-}
-
 func TestFacadeUpgrade(t *testing.T) {
 	oldCfg, err := SystemConfig("Marconi")
 	if err != nil {
