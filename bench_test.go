@@ -7,8 +7,10 @@ package thirstyflops_test
 // produce output.
 
 import (
+	"context"
 	"testing"
 
+	"thirstyflops"
 	"thirstyflops/internal/core"
 	"thirstyflops/internal/energy"
 	"thirstyflops/internal/experiments"
@@ -114,6 +116,61 @@ func BenchmarkScenarioSweep(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkEngineLiveChurnReads is live telemetry beside simulated
+// reads on one memo: each op ingests one hour, assesses the fresh live
+// year and makes 2 simulated reads cycling over a 4-configuration set.
+// The one-shard memo holds exactly the read set, the live
+// configuration's base year and one live year, so every read hits as
+// long as a tick replaces its superseded live year instead of evicting
+// a simulated one. read-misses/op reports the reads that missed.
+func BenchmarkEngineLiveChurnReads(b *testing.B) {
+	const window, readSet, readsPerOp = 336, 4, 2
+	stream, err := thirstyflops.NewStream("", 0, window)
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng := thirstyflops.NewEngine(thirstyflops.WithCache(readSet+2),
+		thirstyflops.WithLiveStreams(thirstyflops.NewStreamRegistry(stream)))
+	ctx := context.Background()
+	live := thirstyflops.AssessRequest{System: "Frontier", Source: thirstyflops.SourceLive}
+	reads := make([]thirstyflops.AssessRequest, readSet)
+	years := make([]int, readSet)
+	for i := range reads {
+		years[i] = 1990 + i
+		reads[i] = thirstyflops.AssessRequest{System: "Marconi", Year: &years[i]}
+	}
+	for _, r := range append(reads, live) {
+		if _, err := eng.Assess(ctx, r); err != nil {
+			b.Fatal(err)
+		}
+	}
+	misses := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := eng.Ingest(thirstyflops.Sample{Hour: i % window, Power: 2.1e7}); err != nil {
+			b.Fatal(err)
+		}
+		res, err := eng.Assess(ctx, live)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Cached {
+			b.Fatal("a fresh epoch was served from the memo")
+		}
+		for r := 0; r < readsPerOp; r++ {
+			res, err := eng.Assess(ctx, reads[(i*readsPerOp+r)%readSet])
+			if err != nil {
+				b.Fatal(err)
+			}
+			if !res.Cached {
+				misses++
+			}
+		}
+	}
+	b.ReportMetric(float64(misses)/float64(b.N), "read-misses/op")
 }
 
 func BenchmarkConfigFingerprint(b *testing.B) {

@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -45,6 +46,14 @@ type Engine struct {
 	maxEntries int
 	shards     []*cache.Cache[fingerprint.Key, core.Annual]
 	streams    *telemetry.Registry
+
+	// liveHeads records, per (stream instance, configuration) pair, the
+	// newest live year the pair has put in the memo, so the next tick
+	// deletes it before inserting its own (liveAnnualFor): a pair keeps
+	// at most one live year resident. At most maxEntries records; a
+	// dropped record only leaves its entry to the LRU.
+	liveMu    sync.Mutex
+	liveHeads map[livePair]liveHead
 
 	// Persistence tier under the in-memory shards (WithPersistence):
 	// memoized simulated years spill to an append-only disk log keyed by
@@ -142,8 +151,11 @@ func WithWorkers(n int) Option {
 // "live" answer against a simulated year spliced with the observed
 // demand of their system's stream (a stream with an empty label is the
 // wildcard fallback). Live results are cached under a key that chains
-// the configuration fingerprint with the stream epoch, so a cached
-// assessment can never survive past the samples it was computed from.
+// the configuration fingerprint with the stream instance and epoch, so a
+// cached assessment can never survive past the samples it was computed
+// from. Each stream and configuration holds one memo slot: a live
+// assessment at a newer epoch replaces the pair's superseded year
+// instead of evicting simulated ones.
 // The daemon shares one registry between the Engine and the UDP
 // telemetry plane.
 func WithLiveStreams(r *telemetry.Registry) Option {
@@ -244,6 +256,7 @@ func NewEngine(opts ...Option) *Engine {
 		for i := range e.shards {
 			e.shards[i] = cache.New[fingerprint.Key, core.Annual](perShard)
 		}
+		e.liveHeads = make(map[livePair]liveHead)
 	}
 	if e.persistDir != "" {
 		e.disk = breaker.New(e.breakerOpts)
@@ -639,10 +652,52 @@ func liveKey(base fingerprint.Key, s *telemetry.Stream, epoch uint64) fingerprin
 	return key
 }
 
+// livePair names one stream instance assessed under one configuration.
+type livePair struct {
+	stream uint64 // telemetry.Stream.ID
+	cfg    fingerprint.Key
+}
+
+// liveHead is the newest live year a pair has put in the memo.
+type liveHead struct {
+	key   fingerprint.Key
+	epoch uint64
+}
+
+// advanceLive makes key the pair's head when epoch is newer than the
+// recorded one and returns the superseded key, if any, for deletion.
+// A full record map drops an arbitrary record first.
+func (e *Engine) advanceLive(p livePair, key fingerprint.Key, epoch uint64) (old fingerprint.Key, superseded bool) {
+	e.liveMu.Lock()
+	defer e.liveMu.Unlock()
+	h, ok := e.liveHeads[p]
+	if ok && h.epoch >= epoch {
+		return old, false
+	}
+	if !ok && len(e.liveHeads) >= e.maxEntries {
+		for q := range e.liveHeads {
+			delete(e.liveHeads, q)
+			break
+		}
+	}
+	e.liveHeads[p] = liveHead{key: key, epoch: epoch}
+	return h.key, ok
+}
+
+// liveStale reports whether the pair's head is newer than epoch.
+func (e *Engine) liveStale(p livePair, epoch uint64) bool {
+	e.liveMu.Lock()
+	defer e.liveMu.Unlock()
+	h, ok := e.liveHeads[p]
+	return ok && h.epoch > epoch
+}
+
 // liveAnnualFor assesses cfg against observed demand: the memoized
 // simulated year with the live window's averaged energy spliced over it.
 // The splice is computed from one atomic stream snapshot and memoized
-// under the epoch-chained key.
+// under the epoch-chained key, and the pair's previous live year is
+// deleted before that key is inserted, so a tick takes the slot of the
+// year it supersedes rather than the least recently used one.
 func (e *Engine) liveAnnualFor(cfg Config, tag subTag) (core.Annual, *LiveInfo, bool, error) {
 	if e.streams == nil || e.streams.Len() == 0 {
 		return core.Annual{}, nil, false, fmt.Errorf("thirstyflops: live source requested but the engine has no stream (construct with WithLiveStreams)")
@@ -675,9 +730,19 @@ func (e *Engine) liveAnnualFor(cfg Config, tag subTag) (core.Annual, *LiveInfo, 
 		a, err := compute()
 		return a, info, false, err
 	}
-	key := liveKey(cfg.Fingerprint(), stream, w.Epoch)
+	base := cfg.Fingerprint()
+	key := liveKey(base, stream, w.Epoch)
+	pair := livePair{stream: stream.ID(), cfg: base}
+	if old, ok := e.advanceLive(pair, key, w.Epoch); ok {
+		e.shards[old.Shard(len(e.shards))].Delete(old)
+	}
 	shard := e.shards[key.Shard(len(e.shards))]
 	a, cached, err := shard.Get(key, compute)
+	if e.liveStale(pair, w.Epoch) {
+		// The snapshot lost a race with an ingest: serve its year, but
+		// a newer one is the head, so do not keep this one resident.
+		shard.Delete(key)
+	}
 	return a, info, cached, err
 }
 

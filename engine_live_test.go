@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"math"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
+	"thirstyflops/internal/core"
 	"thirstyflops/internal/fingerprint"
 	"thirstyflops/internal/series"
 	"thirstyflops/internal/units"
@@ -399,5 +401,220 @@ func TestSharedBaseSpliceRace(t *testing.T) {
 	}
 	if owners[&live.Hourly.Energy[0]] || !sharesIntensities(live.Hourly, base.Hourly) {
 		t.Fatal("the engine's live year does not share the memoized substrate channels")
+	}
+}
+
+// TestEngineLiveReplacedStreamNotServedStale replaces a stream with a
+// same-label one, which restarts at epoch 0: its live assessment must be
+// spliced from its own samples, never served from the predecessor's
+// memoized year.
+func TestEngineLiveReplacedStreamNotServedStale(t *testing.T) {
+	old, err := NewStream("Frontier", 0, 24)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := NewStreamRegistry(old)
+	eng := NewEngine(WithLiveStreams(reg))
+	ctx := context.Background()
+	req := AssessRequest{System: "Frontier", Source: SourceLive}
+
+	if _, err := eng.Ingest(Sample{System: "Frontier", Hour: 0, Power: 1e6}); err != nil {
+		t.Fatal(err)
+	}
+	first, err := eng.Assess(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replacement, err := NewStream("Frontier", 0, 24)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg.Register(replacement)
+	if _, err := eng.Ingest(Sample{System: "Frontier", Hour: 0, Power: 9e6}); err != nil {
+		t.Fatal(err)
+	}
+	second, err := eng.Assess(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second.Live.Epoch != first.Live.Epoch {
+		t.Fatalf("epochs %d and %d: the repro needs the replacement at the predecessor's epoch", first.Live.Epoch, second.Live.Epoch)
+	}
+	if second.Cached || second.EnergyKWh == first.EnergyKWh {
+		t.Errorf("replacement stream served the predecessor's year (cached=%v, energy %v both times)", second.Cached, second.EnergyKWh)
+	}
+	if got, want := second.EnergyKWh-first.EnergyKWh, 8000.0; math.Abs(got-want) > 1e-6 {
+		t.Errorf("energy moved by %v kWh, want %v (hour 0 observed at 9 MW instead of 1 MW)", got, want)
+	}
+}
+
+// TestLiveChurnKeepsSimulatedYearsResident ticks a live stream beside
+// simulated reads on a one-shard memo that holds exactly the working
+// set: two simulated years, the live configuration's base year and one
+// live year. Each tick must take the slot of the year it supersedes, so
+// no read ever misses.
+func TestLiveChurnKeepsSimulatedYearsResident(t *testing.T) {
+	stream, err := NewStream("", 0, 168)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := NewEngine(WithCache(4), WithLiveStreams(NewStreamRegistry(stream)))
+	if len(eng.shards) != 1 {
+		t.Fatalf("%d shards, want 1", len(eng.shards))
+	}
+	ctx := context.Background()
+	live := AssessRequest{System: "Frontier", Source: SourceLive}
+	reads := []AssessRequest{{System: "Marconi"}, {System: "Polaris"}}
+	for _, r := range append(reads, live) {
+		if _, err := eng.Assess(ctx, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hour, misses := 0, 0
+	for round := 0; round < 20; round++ {
+		for tick := 0; tick < 3; tick++ {
+			if _, err := eng.Ingest(Sample{Hour: hour, Power: 1e6}); err != nil {
+				t.Fatal(err)
+			}
+			hour++
+			res, err := eng.Assess(ctx, live)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Cached || res.Live.Epoch != uint64(hour) {
+				t.Fatalf("tick at epoch %d: cached=%v epoch=%d", hour, res.Cached, res.Live.Epoch)
+			}
+		}
+		for _, r := range reads {
+			res, err := eng.Assess(ctx, r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Cached {
+				misses++
+			}
+		}
+	}
+	if misses != 0 {
+		t.Errorf("%d of 40 simulated reads missed: live ticks evicted simulated years", misses)
+	}
+	if n := eng.CacheStats().Entries; n != 4 {
+		t.Errorf("%d memo entries, want 4", n)
+	}
+}
+
+// residentLive counts the pair's live years resident in the memo, over
+// every epoch up to last, and reports whether last's is among them.
+func residentLive(eng *Engine, cfg Config, stream *Stream, last uint64) (n int, head bool) {
+	resident := map[fingerprint.Key]bool{}
+	for _, sh := range eng.shards {
+		for _, k := range sh.Keys() {
+			resident[k] = true
+		}
+	}
+	base := cfg.Fingerprint()
+	for ep := uint64(0); ep <= last; ep++ {
+		if resident[liveKey(base, stream, ep)] {
+			n++
+			head = ep == last
+		}
+	}
+	return n, head
+}
+
+// TestLiveHeadsUnderIngestRace races feeds against live assessments of
+// several configurations. Once quiet, each (stream, configuration) pair
+// holds exactly one live year — the newest — and it is bit-identical to
+// a fresh splice of the final window over the simulated year.
+func TestLiveHeadsUnderIngestRace(t *testing.T) {
+	const window, feeders, assessors, samples = 64, 4, 4, 200
+	eng, stream := newLiveEngine(t, "", window)
+	ctx := context.Background()
+	var reqs []AssessRequest
+	for _, system := range []string{"Frontier", "Marconi"} {
+		for seed := uint64(1); seed <= 2; seed++ {
+			s := seed
+			reqs = append(reqs, AssessRequest{System: system, Seed: &s, Source: SourceLive})
+		}
+	}
+	var wg sync.WaitGroup
+	for f := 0; f < feeders; f++ {
+		wg.Add(1)
+		go func(f int) {
+			defer wg.Done()
+			for i := 0; i < samples; i++ {
+				if _, err := eng.Ingest(Sample{Hour: i % window, Power: units.Watts(1e6 * float64(f+1))}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(f)
+	}
+	for a := 0; a < assessors; a++ {
+		wg.Add(1)
+		go func(a int) {
+			defer wg.Done()
+			for i := 0; i < 2*samples; i++ {
+				if _, err := eng.Assess(ctx, reqs[(a+i)%len(reqs)]); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(a)
+	}
+	wg.Wait()
+
+	w := stream.Window()
+	for _, req := range reqs {
+		cfg, err := req.resolveConfig()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, info, _, err := eng.liveAnnualFor(cfg, subUnplanned)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Epoch != w.Epoch {
+			t.Fatalf("quiet stream at epoch %d, assessment at %d", w.Epoch, info.Epoch)
+		}
+		base, err := cfg.Assess()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := core.AnnualFrom(base.System, w.SpliceInto(base.Hourly))
+		if channelDigest(got.Hourly) != channelDigest(want.Hourly) || !reflect.DeepEqual(got, want) {
+			t.Errorf("%s seed %d: live year differs from a fresh splice", cfg.System.Name, cfg.Seed)
+		}
+		if n, head := residentLive(eng, cfg, stream, w.Epoch); n != 1 || !head {
+			t.Errorf("%s seed %d: %d live years resident (newest among them: %v), want only the newest",
+				cfg.System.Name, cfg.Seed, n, head)
+		}
+	}
+}
+
+// TestLiveHeadsBoundedByCache live-assesses more configurations than the
+// memo holds: the head records never outnumber the memo's capacity.
+func TestLiveHeadsBoundedByCache(t *testing.T) {
+	stream, err := NewStream("", 0, 24)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 4
+	eng := NewEngine(WithCache(n), WithLiveStreams(NewStreamRegistry(stream)))
+	ctx := context.Background()
+	for seed := uint64(0); seed < 3*n; seed++ {
+		s := seed
+		if _, err := eng.Ingest(Sample{Hour: int(seed), Power: 1e6}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.Assess(ctx, AssessRequest{System: "Frontier", Seed: &s, Source: SourceLive}); err != nil {
+			t.Fatal(err)
+		}
+		eng.liveMu.Lock()
+		heads := len(eng.liveHeads)
+		eng.liveMu.Unlock()
+		if heads > n {
+			t.Fatalf("after %d configurations: %d head records, want at most %d", seed+1, heads, n)
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"thirstyflops/internal/fingerprint"
 	"thirstyflops/internal/series"
@@ -53,12 +54,16 @@ type slot struct {
 //
 // Every accepted sample advances a monotonic epoch. Consumers that cache
 // anything derived from the stream (the Engine's live assessments) key
-// their cache on the epoch, so a cached result can never outlive the
-// observations it was computed from.
+// their cache on the stream instance (Fingerprint) and the epoch, so a
+// cached result can never outlive the observations it was computed
+// from; because the epoch only grows, a consumer may also drop the
+// entry of an older epoch as soon as a newer one is cached (the Engine
+// keeps one live year per stream and configuration).
 //
 // A Stream is safe for use from multiple goroutines; construct one with
 // NewStream.
 type Stream struct {
+	id     uint64 // process-unique instance id (streamIDs)
 	system string
 	year   int
 	window int
@@ -82,12 +87,20 @@ func NewStream(system string, year int, windowHours int) (*Stream, error) {
 	if windowHours > stats.HoursPerYear {
 		windowHours = stats.HoursPerYear
 	}
-	s := &Stream{system: system, year: year, window: windowHours, slots: make([]slot, windowHours)}
+	s := &Stream{id: streamIDs.Add(1), system: system, year: year, window: windowHours, slots: make([]slot, windowHours)}
 	for i := range s.slots {
 		s.slots[i].hour = -1
 	}
 	return s, nil
 }
+
+// streamIDs numbers Stream instances, so two streams with the same
+// label, year and window — a registry replacement restarting at epoch
+// 0 — never share a cache identity.
+var streamIDs atomic.Uint64
+
+// ID is the stream's process-unique instance id.
+func (s *Stream) ID() uint64 { return s.id }
 
 // System is the stream's system label ("" accepts any system).
 func (s *Stream) System() string { return s.system }
@@ -243,8 +256,11 @@ func (s *Stream) Series(pue units.PUE, wue, ewf []units.LPerKWh,
 
 // Fingerprint writes the stream's identity (not its contents) to a cache
 // key: combined with the epoch of a Window snapshot it uniquely names
-// one observed state of one stream.
+// one observed state of one stream. The identity includes the instance
+// id, so it is valid for the life of the process only — never persist a
+// key derived from it.
 func (s *Stream) Fingerprint(h *fingerprint.Hasher) {
+	h.Uint64(s.id)
 	h.String(s.system)
 	h.Int(s.year)
 	h.Int(s.window)

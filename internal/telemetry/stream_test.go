@@ -384,14 +384,17 @@ func TestStreamFingerprintIdentity(t *testing.T) {
 	b := mustStream(t, "B", 2023, 24)
 	c := mustStream(t, "A", 2024, 24)
 	d := mustStream(t, "A", 2023, 48)
+	// A same-label instance (a registry replacement) restarts at epoch
+	// 0, so it must not share its predecessor's identity.
+	e := mustStream(t, "A", 2023, 24)
 	keys := map[string]bool{}
-	for _, s := range []*Stream{a, b, c, d} {
+	for _, s := range []*Stream{a, b, c, d, e} {
 		h := fingerprint.New()
 		s.Fingerprint(h)
 		keys[fmt.Sprintf("%x", h.Sum())] = true
 		h.Release()
 	}
-	if len(keys) != 4 {
-		t.Errorf("stream identities collide: %d distinct keys, want 4", len(keys))
+	if len(keys) != 5 {
+		t.Errorf("stream identities collide: %d distinct keys, want 5", len(keys))
 	}
 }
