@@ -123,8 +123,9 @@ func BenchmarkScenarioSweep(b *testing.B) {
 // year and makes 2 simulated reads cycling over a 4-configuration set.
 // The one-shard memo holds exactly the read set, the live
 // configuration's base year and one live year, so every read hits as
-// long as a tick replaces its superseded live year instead of evicting
-// a simulated one. read-misses/op reports the reads that missed.
+// long as a tick replaces the year in its stream and configuration's
+// live slot instead of evicting a simulated one. read-misses/op reports
+// the reads that missed.
 func BenchmarkEngineLiveChurnReads(b *testing.B) {
 	const window, readSet, readsPerOp = 336, 4, 2
 	stream, err := thirstyflops.NewStream("", 0, window)

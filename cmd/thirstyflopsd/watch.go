@@ -100,7 +100,7 @@ func (s *server) watchEpoch(system string) (uint64, bool) {
 }
 
 // assessForWatch is the hub's re-assessment callback: one live
-// assessment through the engine's epoch-chained cache (shared with
+// assessment through the engine's live memo slot (shared with
 // /assess?source=live — the hub's fill is the one later GETs hit),
 // encoded once in both negotiable forms.
 func (s *server) assessForWatch(ctx context.Context, system string) (watchEvent, uint64, error) {

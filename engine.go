@@ -11,7 +11,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -44,16 +43,8 @@ import (
 type Engine struct {
 	workers    int
 	maxEntries int
-	shards     []*cache.Cache[fingerprint.Key, core.Annual]
+	shards     []*cache.Cache[fingerprint.Key, memoYear]
 	streams    *telemetry.Registry
-
-	// liveHeads records, per (stream instance, configuration) pair, the
-	// newest live year the pair has put in the memo, so the next tick
-	// deletes it before inserting its own (liveAnnualFor): a pair keeps
-	// at most one live year resident. At most maxEntries records; a
-	// dropped record only leaves its entry to the LRU.
-	liveMu    sync.Mutex
-	liveHeads map[livePair]liveHead
 
 	// Persistence tier under the in-memory shards (WithPersistence):
 	// memoized simulated years spill to an append-only disk log keyed by
@@ -150,12 +141,12 @@ func WithWorkers(n int) Option {
 // (NewStreamRegistry): Engine.Ingest feeds it and requests with Source
 // "live" answer against a simulated year spliced with the observed
 // demand of their system's stream (a stream with an empty label is the
-// wildcard fallback). Live results are cached under a key that chains
-// the configuration fingerprint with the stream instance and epoch, so a
-// cached assessment can never survive past the samples it was computed
-// from. Each stream and configuration holds one memo slot: a live
-// assessment at a newer epoch replaces the pair's superseded year
-// instead of evicting simulated ones.
+// wildcard fallback). Each stream instance and configuration holds one
+// memo slot, which records the stream epoch its year was spliced at: a
+// cached assessment is served only at that epoch, so it can never
+// survive past the samples it was computed from, and a live assessment
+// at a newer epoch replaces the pair's superseded year in place instead
+// of evicting simulated ones.
 // The daemon shares one registry between the Engine and the UDP
 // telemetry plane.
 func WithLiveStreams(r *telemetry.Registry) Option {
@@ -249,14 +240,9 @@ func NewEngine(opts ...Option) *Engine {
 	for _, o := range opts {
 		o(e)
 	}
-	if e.maxEntries > 0 {
-		shards := e.shardCount()
-		perShard := e.maxEntries / shards
-		e.shards = make([]*cache.Cache[fingerprint.Key, core.Annual], shards)
-		for i := range e.shards {
-			e.shards[i] = cache.New[fingerprint.Key, core.Annual](perShard)
-		}
-		e.liveHeads = make(map[livePair]liveHead)
+	e.shards = make([]*cache.Cache[fingerprint.Key, memoYear], e.shardCount())
+	for i := range e.shards {
+		e.shards[i] = cache.New[fingerprint.Key, memoYear](e.maxEntries / len(e.shards))
 	}
 	if e.persistDir != "" {
 		e.disk = breaker.New(e.breakerOpts)
@@ -567,29 +553,32 @@ func (e *Engine) noteSubstrate(tag subTag, tr core.SubstrateTrace) {
 // simulating, and writes a fresh simulation through to it; an in-memory
 // hit touches neither disk nor substrate.
 func (e *Engine) annualFor(cfg Config, tag subTag) (core.Annual, bool, error) {
-	if e.maxEntries <= 0 && e.store == nil {
-		a, err := e.simulate(cfg, tag)
-		return a, false, err
-	}
 	key := cfg.Fingerprint()
-	compute := func() (core.Annual, error) {
+	y, cached, err := e.shard(key).Get(key, func() (memoYear, error) {
 		if e.store != nil {
 			if a, ok := e.diskLookup(key); ok {
-				return a, nil
+				return memoYear{Annual: a}, nil
 			}
 		}
 		a, err := e.simulate(cfg, tag)
 		if err == nil && e.store != nil {
 			e.diskAppend(key, a)
 		}
-		return a, err
-	}
-	if e.maxEntries <= 0 {
-		a, err := compute()
-		return a, false, err
-	}
-	shard := e.shards[key.Shard(len(e.shards))]
-	return shard.Get(key, compute)
+		return memoYear{Annual: a}, err
+	})
+	return y.Annual, cached, err
+}
+
+// memoYear is one memo slot: an assessed year and, for a live year, the
+// stream epoch it was spliced from (0 for simulated years).
+type memoYear struct {
+	core.Annual
+	epoch uint64
+}
+
+// shard is the memo shard holding key.
+func (e *Engine) shard(key fingerprint.Key) *cache.Cache[fingerprint.Key, memoYear] {
+	return e.shards[key.Shard(len(e.shards))]
 }
 
 // --- Live telemetry ---
@@ -636,68 +625,30 @@ type LiveInfo struct {
 	Samples       uint64 `json:"samples_accepted"`
 }
 
-// liveKey chains the configuration fingerprint with the stream identity
-// and the snapshot epoch. The epoch advances on every accepted sample,
-// so a pre-ingest cached result is unreachable after new telemetry
-// lands; the "live" tag keeps the key disjoint from the pure-simulation
-// keyspace even at epoch 0.
-func liveKey(base fingerprint.Key, s *telemetry.Stream, epoch uint64) fingerprint.Key {
+// liveKey names the memo slot of one stream instance assessed under one
+// configuration. The epoch is not part of it: the slot holds the pair's
+// newest live year and the entry records its epoch, so a tick replaces
+// the year it supersedes in place. The "live" tag keeps the key
+// disjoint from the pure-simulation keyspace.
+func liveKey(base fingerprint.Key, s *telemetry.Stream) fingerprint.Key {
 	h := fingerprint.New()
 	h.String("live")
 	h.Bytes(base[:])
 	s.Fingerprint(h)
-	h.Uint64(epoch)
 	key := h.Sum()
 	h.Release()
 	return key
 }
 
-// livePair names one stream instance assessed under one configuration.
-type livePair struct {
-	stream uint64 // telemetry.Stream.ID
-	cfg    fingerprint.Key
-}
-
-// liveHead is the newest live year a pair has put in the memo.
-type liveHead struct {
-	key   fingerprint.Key
-	epoch uint64
-}
-
-// advanceLive makes key the pair's head when epoch is newer than the
-// recorded one and returns the superseded key, if any, for deletion.
-// A full record map drops an arbitrary record first.
-func (e *Engine) advanceLive(p livePair, key fingerprint.Key, epoch uint64) (old fingerprint.Key, superseded bool) {
-	e.liveMu.Lock()
-	defer e.liveMu.Unlock()
-	h, ok := e.liveHeads[p]
-	if ok && h.epoch >= epoch {
-		return old, false
-	}
-	if !ok && len(e.liveHeads) >= e.maxEntries {
-		for q := range e.liveHeads {
-			delete(e.liveHeads, q)
-			break
-		}
-	}
-	e.liveHeads[p] = liveHead{key: key, epoch: epoch}
-	return h.key, ok
-}
-
-// liveStale reports whether the pair's head is newer than epoch.
-func (e *Engine) liveStale(p livePair, epoch uint64) bool {
-	e.liveMu.Lock()
-	defer e.liveMu.Unlock()
-	h, ok := e.liveHeads[p]
-	return ok && h.epoch > epoch
-}
-
 // liveAnnualFor assesses cfg against observed demand: the memoized
 // simulated year with the live window's averaged energy spliced over it.
-// The splice is computed from one atomic stream snapshot and memoized
-// under the epoch-chained key, and the pair's previous live year is
-// deleted before that key is inserted, so a tick takes the slot of the
-// year it supersedes rather than the least recently used one.
+// The splice is computed from one atomic stream snapshot and memoized in
+// the pair's one live slot: a slot holding an older epoch is recomputed
+// in place, so a tick takes the slot of the year it supersedes rather
+// than the least recently used one. A result is served from the slot
+// only when its epoch is the snapshot's; a snapshot that lost a race
+// with an ingest (the slot already holds a newer year, or an older one
+// still in flight) computes its own year and leaves the slot alone.
 func (e *Engine) liveAnnualFor(cfg Config, tag subTag) (core.Annual, *LiveInfo, bool, error) {
 	if e.streams == nil || e.streams.Len() == 0 {
 		return core.Annual{}, nil, false, fmt.Errorf("thirstyflops: live source requested but the engine has no stream (construct with WithLiveStreams)")
@@ -719,31 +670,20 @@ func (e *Engine) liveAnnualFor(cfg Config, tag subTag) (core.Annual, *LiveInfo, 
 		HoursObserved: w.HoursObserved,
 		Samples:       w.Samples,
 	}
-	compute := func() (core.Annual, error) {
+	compute := func() (memoYear, error) {
 		base, _, err := e.annualFor(cfg, tag)
 		if err != nil {
-			return core.Annual{}, err
+			return memoYear{}, err
 		}
-		return core.AnnualFrom(base.System, w.SpliceInto(base.Hourly)), nil
+		return memoYear{core.AnnualFrom(base.System, w.SpliceInto(base.Hourly)), w.Epoch}, nil
 	}
-	if e.maxEntries <= 0 {
-		a, err := compute()
-		return a, info, false, err
+	key := liveKey(cfg.Fingerprint(), stream)
+	y, cached, err := e.shard(key).GetFresh(key, func(y memoYear) bool { return y.epoch >= w.Epoch }, compute)
+	if err == nil && y.epoch != w.Epoch {
+		y, err = compute()
+		cached = false
 	}
-	base := cfg.Fingerprint()
-	key := liveKey(base, stream, w.Epoch)
-	pair := livePair{stream: stream.ID(), cfg: base}
-	if old, ok := e.advanceLive(pair, key, w.Epoch); ok {
-		e.shards[old.Shard(len(e.shards))].Delete(old)
-	}
-	shard := e.shards[key.Shard(len(e.shards))]
-	a, cached, err := shard.Get(key, compute)
-	if e.liveStale(pair, w.Epoch) {
-		// The snapshot lost a race with an ingest: serve its year, but
-		// a newer one is the head, so do not keep this one resident.
-		shard.Delete(key)
-	}
-	return a, info, cached, err
+	return y.Annual, info, cached, err
 }
 
 // --- Request/result model ---

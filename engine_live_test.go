@@ -503,23 +503,10 @@ func TestLiveChurnKeepsSimulatedYearsResident(t *testing.T) {
 	}
 }
 
-// residentLive counts the pair's live years resident in the memo, over
-// every epoch up to last, and reports whether last's is among them.
-func residentLive(eng *Engine, cfg Config, stream *Stream, last uint64) (n int, head bool) {
-	resident := map[fingerprint.Key]bool{}
-	for _, sh := range eng.shards {
-		for _, k := range sh.Keys() {
-			resident[k] = true
-		}
-	}
-	base := cfg.Fingerprint()
-	for ep := uint64(0); ep <= last; ep++ {
-		if resident[liveKey(base, stream, ep)] {
-			n++
-			head = ep == last
-		}
-	}
-	return n, head
+// residentLive returns the pair's one live slot, if it is resident.
+func residentLive(eng *Engine, cfg Config, stream *Stream) (memoYear, bool) {
+	key := liveKey(cfg.Fingerprint(), stream)
+	return eng.shard(key).Lookup(key)
 }
 
 // TestLiveHeadsUnderIngestRace races feeds against live assessments of
@@ -585,36 +572,91 @@ func TestLiveHeadsUnderIngestRace(t *testing.T) {
 		if channelDigest(got.Hourly) != channelDigest(want.Hourly) || !reflect.DeepEqual(got, want) {
 			t.Errorf("%s seed %d: live year differs from a fresh splice", cfg.System.Name, cfg.Seed)
 		}
-		if n, head := residentLive(eng, cfg, stream, w.Epoch); n != 1 || !head {
-			t.Errorf("%s seed %d: %d live years resident (newest among them: %v), want only the newest",
-				cfg.System.Name, cfg.Seed, n, head)
+		if y, ok := residentLive(eng, cfg, stream); !ok || y.epoch != w.Epoch || !reflect.DeepEqual(y.Annual, want) {
+			t.Errorf("%s seed %d: live slot resident=%v at epoch %d, want the newest year (epoch %d)",
+				cfg.System.Name, cfg.Seed, ok, y.epoch, w.Epoch)
 		}
 	}
 }
 
-// TestLiveHeadsBoundedByCache live-assesses more configurations than the
-// memo holds: the head records never outnumber the memo's capacity.
-func TestLiveHeadsBoundedByCache(t *testing.T) {
-	stream, err := NewStream("", 0, 24)
+// TestLiveTickKeepsFullShardsResident fills every shard of an 8-shard
+// memo to capacity — the live slot, its base year and simulated Marconi
+// years chosen by shard — and ticks the stream between full read passes.
+// A tick replaces its pair's one slot in place, so no shard ever evicts
+// a simulated year.
+func TestLiveTickKeepsFullShardsResident(t *testing.T) {
+	const capacity, ticks = 32, 50
+	stream, err := NewStream("", 0, 168)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const n = 4
-	eng := NewEngine(WithCache(n), WithLiveStreams(NewStreamRegistry(stream)))
+	eng := NewEngine(WithCache(capacity), WithLiveStreams(NewStreamRegistry(stream)))
+	shards := len(eng.shards)
+	if shards != 8 {
+		t.Fatalf("%d shards, want 8", shards)
+	}
 	ctx := context.Background()
-	for seed := uint64(0); seed < 3*n; seed++ {
+	live := AssessRequest{System: "Frontier", Source: SourceLive}
+	cfg, err := live.resolveConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fill := make([]int, shards)
+	base := cfg.Fingerprint()
+	fill[base.Shard(shards)]++
+	fill[liveKey(base, stream).Shard(shards)]++
+	var reads []AssessRequest
+	for seed := uint64(1); len(reads) < capacity-2; seed++ {
 		s := seed
-		if _, err := eng.Ingest(Sample{Hour: int(seed), Power: 1e6}); err != nil {
+		req := AssessRequest{System: "Marconi", Seed: &s}
+		c, err := req.resolveConfig()
+		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := eng.Assess(ctx, AssessRequest{System: "Frontier", Seed: &s, Source: SourceLive}); err != nil {
+		if sh := c.Fingerprint().Shard(shards); fill[sh] < capacity/shards {
+			fill[sh]++
+			reads = append(reads, req)
+		}
+	}
+	for _, r := range append(reads, live) {
+		if _, err := eng.Assess(ctx, r); err != nil {
 			t.Fatal(err)
 		}
-		eng.liveMu.Lock()
-		heads := len(eng.liveHeads)
-		eng.liveMu.Unlock()
-		if heads > n {
-			t.Fatalf("after %d configurations: %d head records, want at most %d", seed+1, heads, n)
+	}
+	if n := eng.CacheStats().Entries; n != capacity {
+		t.Fatalf("%d memo entries after filling, want %d", n, capacity)
+	}
+	before := eng.CacheStats()
+	misses := 0
+	for tick := 1; tick <= ticks; tick++ {
+		if _, err := eng.Ingest(Sample{Hour: tick - 1, Power: 1e6}); err != nil {
+			t.Fatal(err)
 		}
+		res, err := eng.Assess(ctx, live)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Cached || res.Live.Epoch != uint64(tick) {
+			t.Fatalf("tick %d: cached=%v epoch=%d", tick, res.Cached, res.Live.Epoch)
+		}
+		for _, r := range reads {
+			res, err := eng.Assess(ctx, r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Cached {
+				misses++
+			}
+		}
+	}
+	if misses != 0 {
+		t.Errorf("%d of %d simulated reads missed: live ticks evicted simulated years", misses, ticks*len(reads))
+	}
+	// A tick that replaces its slot counts one miss; its base year and
+	// every read are hits.
+	after := eng.CacheStats()
+	if after.Entries != capacity || after.Misses-before.Misses != ticks || after.Hits-before.Hits != uint64(ticks*(1+len(reads))) {
+		t.Errorf("over %d ticks: %d misses, %d hits, %d entries; want %d, %d, %d",
+			ticks, after.Misses-before.Misses, after.Hits-before.Hits, after.Entries, ticks, ticks*(1+len(reads)), capacity)
 	}
 }

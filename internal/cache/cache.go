@@ -84,12 +84,28 @@ func (c *Cache[K, V]) pushFront(e *entry[K, V]) {
 // stampede, not one per caller), but a transient failure — an injected
 // fault, a cancelled dependency — never poisons the key until eviction.
 func (c *Cache[K, V]) Get(key K, compute func() (V, error)) (V, bool, error) {
+	return c.GetFresh(key, nil, compute)
+}
+
+// GetFresh is Get with a freshness test: a published value under key
+// that fresh rejects is replaced in the same locked step — its slot is
+// recomputed, not added beside it — and the lookup counts as a miss. A
+// nil fresh accepts every value, which is exactly Get. An entry whose
+// computation is still in flight is never replaced: the caller waits
+// for it like any other hit and must check the value it gets. fresh
+// runs under the cache lock, so it must be cheap and must not call
+// back into the cache.
+func (c *Cache[K, V]) GetFresh(key K, fresh func(V) bool, compute func() (V, error)) (V, bool, error) {
 	if c.max <= 0 {
 		v, err := compute()
 		return v, false, err
 	}
 	c.mu.Lock()
 	e, cached := c.entries[key]
+	if cached && fresh != nil && e.done.Load() && !fresh(e.val) {
+		c.unlink(e)
+		cached = false
+	}
 	if cached {
 		c.hits++
 		c.unlink(e)

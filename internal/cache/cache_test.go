@@ -343,3 +343,112 @@ func TestLookupDuringInFlightGet(t *testing.T) {
 		t.Errorf("Lookup after publication = %d, %v", v, ok)
 	}
 }
+
+// TestGetFreshReplacesRejected: a published value the predicate rejects
+// is recomputed in its own slot and counted as one miss, not a hit.
+func TestGetFreshReplacesRejected(t *testing.T) {
+	c := New[string, int](2)
+	c.Get("k", func() (int, error) { return 1, nil })
+	c.Get("other", func() (int, error) { return 7, nil })
+	atLeast2 := func(v int) bool { return v >= 2 }
+	v, cached, err := c.GetFresh("k", atLeast2, func() (int, error) { return 2, nil })
+	if err != nil || cached || v != 2 {
+		t.Fatalf("GetFresh over a rejected value = (%d, %v, %v), want a fresh 2", v, cached, err)
+	}
+	if s := c.Stats(); s.Hits != 0 || s.Misses != 3 || s.Entries != 2 {
+		t.Errorf("stats = %+v, want 3 misses and both keys resident", s)
+	}
+	v, cached, _ = c.GetFresh("k", atLeast2, func() (int, error) { t.Error("accepted value recomputed"); return 0, nil })
+	if !cached || v != 2 {
+		t.Errorf("GetFresh over an accepted value = (%d, %v), want a cached 2", v, cached)
+	}
+	if v, ok := c.Lookup("other"); !ok || v != 7 {
+		t.Errorf("replacement evicted another key: Lookup = (%d, %v)", v, ok)
+	}
+}
+
+// TestGetFreshWaitsOnInFlight: an entry still computing is never
+// replaced, even by a predicate that rejects everything — the caller
+// latches on and receives the in-flight value.
+func TestGetFreshWaitsOnInFlight(t *testing.T) {
+	c := New[string, int](4)
+	started := make(chan struct{})
+	release := make(chan struct{})
+	go c.Get("k", func() (int, error) {
+		close(started)
+		<-release
+		return 1, nil
+	})
+	<-started
+	type result struct {
+		v      int
+		cached bool
+	}
+	got := make(chan result, 1)
+	go func() {
+		v, cached, _ := c.GetFresh("k", func(int) bool { return false }, func() (int, error) {
+			t.Error("in-flight entry replaced")
+			return 0, nil
+		})
+		got <- result{v, cached}
+	}()
+	for c.Stats().Hits == 0 { // the waiter has latched onto the entry
+		runtime.Gosched()
+	}
+	close(release)
+	if r := <-got; r.v != 1 || !r.cached {
+		t.Errorf("GetFresh on an in-flight entry = %+v, want the in-flight 1, cached", r)
+	}
+}
+
+// TestGetFreshNilIsGet: a nil predicate replays Get exactly — values,
+// cached flags and counters.
+func TestGetFreshNilIsGet(t *testing.T) {
+	get, fresh := New[int, int](2), New[int, int](2)
+	for i, k := range []int{1, 2, 1, 3, 2, 1, 1} {
+		compute := func() (int, error) { return k*10 + i, nil }
+		v1, c1, _ := get.Get(k, compute)
+		v2, c2, _ := fresh.GetFresh(k, nil, compute)
+		if v1 != v2 || c1 != c2 {
+			t.Fatalf("step %d key %d: Get = (%d, %v), GetFresh(nil) = (%d, %v)", i, k, v1, c1, v2, c2)
+		}
+	}
+	if a, b := get.Stats(), fresh.Stats(); a != b {
+		t.Errorf("stats: Get %+v, GetFresh(nil) %+v", a, b)
+	}
+	if a, b := get.Keys(), fresh.Keys(); fmt.Sprint(a) != fmt.Sprint(b) {
+		t.Errorf("recency: Get %v, GetFresh(nil) %v", a, b)
+	}
+}
+
+// TestGetFreshConcurrentSameEpoch: callers that all reject the same
+// published value replace it once — one computation, not one per caller.
+func TestGetFreshConcurrentSameEpoch(t *testing.T) {
+	c := New[string, int](4)
+	c.Get("k", func() (int, error) { return 1, nil })
+	var calls atomic.Int32
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for i := 0; i < 16; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			v, _, err := c.GetFresh("k", func(v int) bool { return v >= 2 }, func() (int, error) {
+				calls.Add(1)
+				return 2, nil
+			})
+			if err != nil || v != 2 {
+				t.Errorf("GetFresh = (%d, %v), want 2", v, err)
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if n := calls.Load(); n != 1 {
+		t.Errorf("concurrent callers computed %d times, want 1", n)
+	}
+	if s := c.Stats(); s.Misses != 2 || s.Hits != 15 || s.Entries != 1 {
+		t.Errorf("stats = %+v, want 2 misses (first fill, one replacement), 15 hits, 1 entry", s)
+	}
+}

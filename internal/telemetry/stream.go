@@ -54,11 +54,12 @@ type slot struct {
 //
 // Every accepted sample advances a monotonic epoch. Consumers that cache
 // anything derived from the stream (the Engine's live assessments) key
-// their cache on the stream instance (Fingerprint) and the epoch, so a
-// cached result can never outlive the observations it was computed
-// from; because the epoch only grows, a consumer may also drop the
-// entry of an older epoch as soon as a newer one is cached (the Engine
-// keeps one live year per stream and configuration).
+// their cache on the stream instance (Fingerprint) and store the epoch
+// of the snapshot beside the cached value, serving it only at that
+// epoch, so a cached result can never outlive the observations it was
+// computed from; because the epoch only grows, a value at an older
+// epoch can be replaced in place (the Engine keeps one live slot per
+// stream and configuration).
 //
 // A Stream is safe for use from multiple goroutines; construct one with
 // NewStream.
@@ -98,9 +99,6 @@ func NewStream(system string, year int, windowHours int) (*Stream, error) {
 // label, year and window — a registry replacement restarting at epoch
 // 0 — never share a cache identity.
 var streamIDs atomic.Uint64
-
-// ID is the stream's process-unique instance id.
-func (s *Stream) ID() uint64 { return s.id }
 
 // System is the stream's system label ("" accepts any system).
 func (s *Stream) System() string { return s.system }
@@ -255,8 +253,8 @@ func (s *Stream) Series(pue units.PUE, wue, ewf []units.LPerKWh,
 }
 
 // Fingerprint writes the stream's identity (not its contents) to a cache
-// key: combined with the epoch of a Window snapshot it uniquely names
-// one observed state of one stream. The identity includes the instance
+// key: it names one stream instance, and the epoch of a Window snapshot
+// then names one observed state of it. The identity includes the instance
 // id, so it is valid for the life of the process only — never persist a
 // key derived from it.
 func (s *Stream) Fingerprint(h *fingerprint.Hasher) {

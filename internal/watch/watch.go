@@ -7,8 +7,8 @@
 // statsd flush or /ingest batch. Each poke wakes the system's pump
 // goroutine, which re-checks the epoch, runs at most one re-assessment
 // per epoch (the Assess callback goes through the engine's cached live
-// path, whose epoch-chained keys make the fill shared by every
-// subscriber of that system), and publishes the result to every
+// path, whose one memo slot per stream and configuration makes the fill
+// shared by every subscriber of that system), and publishes the result to every
 // subscriber with a per-system monotonic event ID.
 //
 // The flush path never blocks on a slow client: Poke is a non-blocking
