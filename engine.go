@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -23,6 +24,7 @@ import (
 	"thirstyflops/internal/fingerprint"
 	"thirstyflops/internal/gang"
 	"thirstyflops/internal/plan"
+	"thirstyflops/internal/series"
 	"thirstyflops/internal/store"
 	"thirstyflops/internal/substrate"
 	"thirstyflops/internal/telemetry"
@@ -39,11 +41,13 @@ import (
 // The memo is split into power-of-two shards selected by a fingerprint
 // prefix. Each shard carries its own mutex and an O(1) doubly-linked LRU,
 // so concurrent requests for different configurations do not serialize on
-// a single cache lock and a hit never pays a linear recency scan.
+// a single cache lock and a hit never pays a linear recency scan. The
+// shards share one entry budget (cache.NewSharded), so the memo holds as
+// many years as WithCache allows however their fingerprints hash.
 type Engine struct {
 	workers    int
 	maxEntries int
-	shards     []*cache.Cache[fingerprint.Key, memoYear]
+	shards     []*cache.Cache[fingerprint.Key, *memoYear]
 	streams    *telemetry.Registry
 
 	// Persistence tier under the in-memory shards (WithPersistence):
@@ -119,9 +123,11 @@ const (
 type Option func(*Engine)
 
 // WithCache bounds the total number of memoized assessments (default 64).
-// Least-recently-touched entries are evicted first. The bound is
-// apportioned across the cache shards, so the effective capacity is n
-// rounded down to a multiple of the shard count. n <= 0 disables caching.
+// The cache shards share the bound: an insert past it evicts the
+// least-recently-touched entries of whichever shards hold them (recency
+// across shards is resolved to the nearest insert), never the entry just
+// inserted, so a shard may hold more than its even share while the total
+// stays within n. n <= 0 disables caching.
 func WithCache(n int) Option {
 	return func(e *Engine) { e.maxEntries = n }
 }
@@ -142,11 +148,13 @@ func WithWorkers(n int) Option {
 // "live" answer against a simulated year spliced with the observed
 // demand of their system's stream (a stream with an empty label is the
 // wildcard fallback). Each stream instance and configuration holds one
-// memo slot, which records the stream epoch its year was spliced at: a
-// cached assessment is served only at that epoch, so it can never
-// survive past the samples it was computed from, and a live assessment
-// at a newer epoch replaces the pair's superseded year in place instead
-// of evicting simulated ones.
+// memo slot, which keeps the totals of its newest live year and the
+// stream epoch they were priced at: a cached assessment is served only
+// at that epoch, so it can never survive past the samples it was
+// computed from, and a live assessment at a newer epoch replaces the
+// pair's superseded totals in place instead of evicting simulated years.
+// A live tick resumes the simulated year's fold at the start of the day
+// its window begins in and copies no hourly channel.
 // The daemon shares one registry between the Engine and the UDP
 // telemetry plane.
 func WithLiveStreams(r *telemetry.Registry) Option {
@@ -240,10 +248,7 @@ func NewEngine(opts ...Option) *Engine {
 	for _, o := range opts {
 		o(e)
 	}
-	e.shards = make([]*cache.Cache[fingerprint.Key, memoYear], e.shardCount())
-	for i := range e.shards {
-		e.shards[i] = cache.New[fingerprint.Key, memoYear](e.maxEntries / len(e.shards))
-	}
+	e.shards = cache.NewSharded[fingerprint.Key, *memoYear](e.shardCount(), e.maxEntries)
 	if e.persistDir != "" {
 		e.disk = breaker.New(e.breakerOpts)
 		if err := os.MkdirAll(e.persistDir, 0o755); err != nil {
@@ -553,31 +558,55 @@ func (e *Engine) noteSubstrate(tag subTag, tr core.SubstrateTrace) {
 // simulating, and writes a fresh simulation through to it; an in-memory
 // hit touches neither disk nor substrate.
 func (e *Engine) annualFor(cfg Config, tag subTag) (core.Annual, bool, error) {
-	key := cfg.Fingerprint()
-	y, cached, err := e.shard(key).Get(key, func() (memoYear, error) {
+	y, cached, err := e.memoFor(cfg.Fingerprint(), cfg, tag)
+	if err != nil {
+		return core.Annual{}, cached, err
+	}
+	return y.Annual, cached, nil
+}
+
+// memoFor is annualFor for a configuration already fingerprinted as
+// key, returning the memo entry itself, whose day checkpoints a live
+// tick resumes from.
+func (e *Engine) memoFor(key fingerprint.Key, cfg Config, tag subTag) (*memoYear, bool, error) {
+	return e.shard(key).Get(key, func() (*memoYear, error) {
 		if e.store != nil {
 			if a, ok := e.diskLookup(key); ok {
-				return memoYear{Annual: a}, nil
+				return &memoYear{Annual: a}, nil
 			}
 		}
 		a, err := e.simulate(cfg, tag)
-		if err == nil && e.store != nil {
+		if err != nil {
+			return nil, err
+		}
+		if e.store != nil {
 			e.diskAppend(key, a)
 		}
-		return memoYear{Annual: a}, err
+		return &memoYear{Annual: a}, nil
 	})
-	return y.Annual, cached, err
 }
 
-// memoYear is one memo slot: an assessed year and, for a live year, the
-// stream epoch it was spliced from (0 for simulated years).
+// memoYear is one memo slot. A simulated year holds its assessed year
+// and, once a live tick has priced a window over it, its day
+// checkpoints. A live slot holds only the totals of its stream's newest
+// year (core.Annual.Spliced, no hourly channel) and the stream epoch
+// they were priced at.
 type memoYear struct {
 	core.Annual
 	epoch uint64
+
+	foldsOnce sync.Once
+	folds     series.Checkpoints
+}
+
+// checkpoints returns the year's day checkpoints, built on first use.
+func (y *memoYear) checkpoints() series.Checkpoints {
+	y.foldsOnce.Do(func() { y.folds = y.Hourly.Checkpoints() })
+	return y.folds
 }
 
 // shard is the memo shard holding key.
-func (e *Engine) shard(key fingerprint.Key) *cache.Cache[fingerprint.Key, memoYear] {
+func (e *Engine) shard(key fingerprint.Key) *cache.Cache[fingerprint.Key, *memoYear] {
 	return e.shards[key.Shard(len(e.shards))]
 }
 
@@ -641,49 +670,77 @@ func liveKey(base fingerprint.Key, s *telemetry.Stream) fingerprint.Key {
 }
 
 // liveAnnualFor assesses cfg against observed demand: the memoized
-// simulated year with the live window's averaged energy spliced over it.
-// The splice is computed from one atomic stream snapshot and memoized in
-// the pair's one live slot: a slot holding an older epoch is recomputed
-// in place, so a tick takes the slot of the year it supersedes rather
-// than the least recently used one. A result is served from the slot
-// only when its epoch is the snapshot's; a snapshot that lost a race
-// with an ingest (the slot already holds a newer year, or an older one
-// still in flight) computes its own year and leaves the slot alone.
-func (e *Engine) liveAnnualFor(cfg Config, tag subTag) (core.Annual, *LiveInfo, bool, error) {
+// simulated year with the live window's averaged energy spliced over it,
+// priced from one atomic stream snapshot, which it also returns. The
+// result is totals only (core.Annual.Spliced): the fold resumes from the
+// simulated year's checkpoint at or before the window and reads the
+// observed hours in place, so no timeline is built unless withSeries
+// asks for one, rebuilt from the same snapshot into the result's Hourly.
+// The totals are memoized in the pair's one live slot: a slot holding an
+// older epoch is recomputed in place, so a tick takes the slot of the
+// year it supersedes rather than the least recently used one. A result is served from the slot only when its
+// epoch is the snapshot's; a snapshot that lost a race with an ingest
+// (the slot already holds a newer year, or an older one still in flight)
+// computes its own year and leaves the slot alone.
+func (e *Engine) liveAnnualFor(cfg Config, tag subTag, withSeries bool) (core.Annual, telemetry.LiveWindow, bool, error) {
 	if e.streams == nil || e.streams.Len() == 0 {
-		return core.Annual{}, nil, false, fmt.Errorf("thirstyflops: live source requested but the engine has no stream (construct with WithLiveStreams)")
+		return core.Annual{}, telemetry.LiveWindow{}, false, fmt.Errorf("thirstyflops: live source requested but the engine has no stream (construct with WithLiveStreams)")
 	}
 	stream := e.streams.Resolve(cfg.System.Name)
 	if stream == nil {
-		return core.Annual{}, nil, false, fmt.Errorf("%w: %q (live source requested; streams exist for: %s)",
+		return core.Annual{}, telemetry.LiveWindow{}, false, fmt.Errorf("%w: %q (live source requested; streams exist for: %s)",
 			telemetry.ErrNoStream, cfg.System.Name, strings.Join(e.streams.Systems(), ", "))
 	}
 	if yr := stream.Year(); yr != 0 && yr != cfg.Year {
-		return core.Annual{}, nil, false, fmt.Errorf("thirstyflops: live stream observes year %d, request assesses %d", yr, cfg.Year)
+		return core.Annual{}, telemetry.LiveWindow{}, false, fmt.Errorf("thirstyflops: live stream observes year %d, request assesses %d", yr, cfg.Year)
 	}
 	w := stream.Window()
-	info := &LiveInfo{
-		System:        stream.System(),
+	baseKey := cfg.Fingerprint()
+	var base *memoYear // the simulated year, once this call has resolved it
+	compute := func() (*memoYear, error) {
+		b, _, err := e.memoFor(baseKey, cfg, tag)
+		if err != nil {
+			return nil, err
+		}
+		base = b
+		f := b.checkpoints().Resume(b.Hourly, w.Lo, w.Energy, w.Observed)
+		return &memoYear{Annual: b.Spliced(f), epoch: w.Epoch}, nil
+	}
+	key := liveKey(baseKey, stream)
+	y, cached, err := e.shard(key).GetFresh(key, func(y *memoYear) bool { return y != nil && y.epoch >= w.Epoch }, compute)
+	if err == nil && y.epoch != w.Epoch {
+		y, err = compute()
+		cached = false
+	}
+	if err == nil && withSeries && base == nil {
+		// The totals came from the slot: the timeline needs the simulated
+		// year, and if it has to be recomputed the result is not cached.
+		var baseCached bool
+		base, baseCached, err = e.memoFor(baseKey, cfg, tag)
+		cached = cached && baseCached
+	}
+	if err != nil {
+		return core.Annual{}, w, false, err
+	}
+	a := y.Annual
+	if withSeries {
+		// Like any assessed year, the timeline shares the memoized
+		// intensity channels.
+		a.Hourly = w.SpliceInto(base.Hourly)
+	}
+	return a, w, cached, nil
+}
+
+// liveInfo is the provenance block of a live result priced from w.
+func liveInfo(w telemetry.LiveWindow) *LiveInfo {
+	return &LiveInfo{
+		System:        w.System,
 		Epoch:         w.Epoch,
 		WindowLo:      w.Lo,
 		WindowHi:      w.Hi,
 		HoursObserved: w.HoursObserved,
 		Samples:       w.Samples,
 	}
-	compute := func() (memoYear, error) {
-		base, _, err := e.annualFor(cfg, tag)
-		if err != nil {
-			return memoYear{}, err
-		}
-		return memoYear{core.AnnualFrom(base.System, w.SpliceInto(base.Hourly)), w.Epoch}, nil
-	}
-	key := liveKey(cfg.Fingerprint(), stream)
-	y, cached, err := e.shard(key).GetFresh(key, func(y memoYear) bool { return y.epoch >= w.Epoch }, compute)
-	if err == nil && y.epoch != w.Epoch {
-		y, err = compute()
-		cached = false
-	}
-	return y.Annual, info, cached, err
 }
 
 // --- Request/result model ---
@@ -838,7 +895,9 @@ func (e *Engine) assessResolved(ctx context.Context, req AssessRequest, cfg Conf
 	case "", SourceSimulated:
 		a, cached, err = e.annualFor(cfg, tag)
 	case SourceLive:
-		a, live, cached, err = e.liveAnnualFor(cfg, tag)
+		var w telemetry.LiveWindow
+		a, w, cached, err = e.liveAnnualFor(cfg, tag, req.IncludeSeries)
+		live = liveInfo(w)
 	default:
 		return nil, fmt.Errorf("thirstyflops: unknown source %q (want %q or %q)",
 			req.Source, SourceSimulated, SourceLive)

@@ -13,6 +13,7 @@ import (
 	"thirstyflops/internal/fingerprint"
 	"thirstyflops/internal/series"
 	"thirstyflops/internal/units"
+	"thirstyflops/internal/wsi"
 )
 
 func newLiveEngine(t *testing.T, system string, window int) (*Engine, *Stream) {
@@ -48,7 +49,7 @@ func TestEngineLiveAssessEmptyWindowMatchesSimulation(t *testing.T) {
 }
 
 func TestEngineLiveAssessReflectsIngestedSamples(t *testing.T) {
-	eng, _ := newLiveEngine(t, "", 168)
+	eng, stream := newLiveEngine(t, "", 168)
 	ctx := context.Background()
 	req := AssessRequest{System: "Frontier", Source: SourceLive, IncludeSeries: true}
 
@@ -95,16 +96,70 @@ func TestEngineLiveAssessReflectsIngestedSamples(t *testing.T) {
 	if after.Series.WUE[0] != before.Series.WUE[0] || after.Series.EWF[0] != before.Series.EWF[0] {
 		t.Error("live splice touched the intensity channels")
 	}
-	// The memoized live-spliced year carries its intensities.
+	// The served timeline is the reference splice in arrays of its own,
+	// the result carries that timeline's intensities, and the memoized
+	// live year carries them too while its slot keeps no hourly channel.
 	cfg, err := req.resolveConfig()
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, _, cached, err := eng.liveAnnualFor(cfg, subUnplanned)
+	base, _, err := eng.annualFor(cfg, subUnplanned)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkLiveSeries(t, after, stream.Window().SpliceInto(base.Hourly), base.Hourly, cfg.Scarcity)
+	a, _, cached, err := eng.liveAnnualFor(cfg, subUnplanned, false)
 	if err != nil || !cached {
 		t.Fatalf("live memo lookup cached=%v err=%v", cached, err)
 	}
-	checkCarried(t, a, cfg.Scarcity)
+	checkCarriedBy(t, a, *after.Series, cfg.Scarcity)
+	if slot, epoch, ok := residentLive(eng, cfg, stream); !ok || epoch != 24 || slot.Hourly.Len() != 0 || slot.Hourly.PUE != 0 {
+		t.Errorf("live slot resident=%v at epoch %d holds %d hours, want totals only at epoch 24", ok, epoch, slot.Hourly.Len())
+	}
+}
+
+// checkCarriedBy fails unless a carries its annual water intensities and
+// they, and the scarcity-adjusted intensity under p, equal the values
+// derived from hourly.MeanWaterIntensity, compared bit for bit.
+func checkCarriedBy(t *testing.T, a core.Annual, hourly series.Series, p wsi.Profile) {
+	t.Helper()
+	if !reflect.ValueOf(a).FieldByName("hasMeans").Bool() {
+		t.Errorf("%s: assessed year carries no water intensities", a.System)
+	}
+	d, i, w := hourly.MeanWaterIntensity()
+	gd, gi, gw := a.WaterIntensity()
+	for _, pair := range [][2]LPerKWh{
+		{gd, d}, {gi, i}, {gw, w}, {a.AdjustedWaterIntensity(p), p.AdjustedIntensity(d, i)},
+	} {
+		if math.Float64bits(float64(pair[0])) != math.Float64bits(float64(pair[1])) {
+			t.Errorf("%s: carried intensity %v, hourly recompute %v", a.System, pair[0], pair[1])
+		}
+	}
+}
+
+// checkLiveSeries fails unless the live result res attaches a timeline
+// bit-identical to want that shares no array with base, and the result's
+// served intensities equal that timeline's MeanWaterIntensity bit for
+// bit.
+func checkLiveSeries(t *testing.T, res *AssessResult, want, base series.Series, p wsi.Profile) {
+	t.Helper()
+	if res.Series == nil {
+		t.Fatal("live result attaches no timeline")
+	}
+	got := *res.Series
+	if got.Len() != want.Len() || channelDigest(got) != channelDigest(want) {
+		t.Error("served live timeline differs from the reference splice")
+	}
+	if &got.Energy[0] == &base.Energy[0] || &got.WUE[0] == &base.WUE[0] ||
+		&got.EWF[0] == &base.EWF[0] || &got.Carbon[0] == &base.Carbon[0] {
+		t.Error("served live timeline shares an array with the simulated year")
+	}
+	d, i, w := got.MeanWaterIntensity()
+	if math.Float64bits(res.WaterIntensity) != math.Float64bits(float64(w)) ||
+		math.Float64bits(res.AdjustedIntensity) != math.Float64bits(float64(p.AdjustedIntensity(d, i))) {
+		t.Errorf("served intensities %v/%v, timeline recompute %v/%v",
+			res.WaterIntensity, res.AdjustedIntensity, w, p.AdjustedIntensity(d, i))
+	}
 }
 
 // TestEngineLiveEpochKeysCache is the staleness guarantee: assessments
@@ -162,6 +217,61 @@ func TestEngineLiveEpochKeysCache(t *testing.T) {
 	if sim.Live != nil || sim.Source != SourceSimulated {
 		t.Errorf("simulated result carries live provenance: %+v", sim.Live)
 	}
+}
+
+// TestEngineLiveSeriesReusesResolvedBase asks for live timelines. A tick
+// that prices its totals resolves the simulated year once, for the fold
+// and the timeline both; a repeat served from the live slot looks the
+// simulated year up once more, and reports the result uncached when that
+// year was evicted and had to be simulated again.
+func TestEngineLiveSeriesReusesResolvedBase(t *testing.T) {
+	eng, stream := newLiveEngine(t, "", 24)
+	ctx := context.Background()
+	req := AssessRequest{System: "Frontier", Source: SourceLive, IncludeSeries: true}
+	cfg, err := req.resolveConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Assess(ctx, req); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Ingest(Sample{Hour: 3, Power: 2e6}); err != nil {
+		t.Fatal(err)
+	}
+	before := eng.CacheStats()
+	tick, err := eng.Assess(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := eng.CacheStats()
+	if tick.Cached || after.Hits-before.Hits != 1 || after.Misses-before.Misses != 1 {
+		t.Errorf("tick cached=%v with %d hits and %d misses, want a live-slot miss and one simulated-year hit",
+			tick.Cached, after.Hits-before.Hits, after.Misses-before.Misses)
+	}
+	repeat, err := eng.Assess(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final := eng.CacheStats(); !repeat.Cached || final.Hits-after.Hits != 2 || final.Misses != after.Misses {
+		t.Errorf("repeat cached=%v with %d hits and %d misses, want the live slot and the simulated year hit",
+			repeat.Cached, final.Hits-after.Hits, final.Misses-after.Misses)
+	}
+	baseKey := cfg.Fingerprint()
+	if _, ok := eng.shard(baseKey).Delete(baseKey); !ok {
+		t.Fatal("simulated year not resident")
+	}
+	evicted, err := eng.Assess(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if evicted.Cached || evicted.Live.Epoch != tick.Live.Epoch {
+		t.Errorf("timeline over a re-simulated year reported cached=%v at epoch %d", evicted.Cached, evicted.Live.Epoch)
+	}
+	base, err := cfg.Assess()
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkLiveSeries(t, evicted, stream.Window().SpliceInto(base.Hourly), base.Hourly, cfg.Scarcity)
 }
 
 func TestEngineLiveUncachedEngine(t *testing.T) {
@@ -304,7 +414,9 @@ func sharesIntensities(y, base series.Series) bool {
 // serves live assessments over the same memoized substrate years. Under
 // -race it proves the shared intensity channels are only ever read.
 // Afterwards the base is bit-identical, every spliced year owns its
-// energy channel, and every live year shares the base's intensities.
+// energy channel and shares the base's intensities, the engine's
+// rebuilt live timeline does too, and the served timeline is the
+// reference splice in arrays of its own.
 func TestSharedBaseSpliceRace(t *testing.T) {
 	cfg, err := AssessRequest{System: "Frontier"}.resolveConfig()
 	if err != nil {
@@ -318,7 +430,7 @@ func TestSharedBaseSpliceRace(t *testing.T) {
 	totals := base.Hourly.Totals()
 
 	const window, splicers, readers, servers, iters = 336, 4, 2, 2, 16
-	eng, _ := newLiveEngine(t, "", window)
+	eng, served := newLiveEngine(t, "", window)
 	ctx := context.Background()
 	req := AssessRequest{System: "Frontier", Source: SourceLive}
 	if _, err := eng.Assess(ctx, req); err != nil {
@@ -395,12 +507,28 @@ func TestSharedBaseSpliceRace(t *testing.T) {
 			}
 		}
 	}
-	live, _, _, err := eng.liveAnnualFor(cfg, subUnplanned)
+	w := served.Window()
+	live, lw, _, err := eng.liveAnnualFor(cfg, subUnplanned, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if owners[&live.Hourly.Energy[0]] || !sharesIntensities(live.Hourly, base.Hourly) {
-		t.Fatal("the engine's live year does not share the memoized substrate channels")
+	rebuilt := live.Hourly
+	if lw.Epoch != w.Epoch || owners[&rebuilt.Energy[0]] || !sharesIntensities(rebuilt, base.Hourly) {
+		t.Fatal("the engine's live timeline does not share the memoized substrate channels")
+	}
+	res, err := eng.Assess(ctx, AssessRequest{System: "Frontier", Source: SourceLive, IncludeSeries: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Live.Epoch != w.Epoch {
+		t.Fatalf("quiet stream at epoch %d, assessment at %d", w.Epoch, res.Live.Epoch)
+	}
+	checkLiveSeries(t, res, w.SpliceInto(base.Hourly), base.Hourly, cfg.Scarcity)
+	if owners[&res.Series.Energy[0]] {
+		t.Error("served live timeline shares a spliced year's energy array")
+	}
+	if slot, epoch, ok := residentLive(eng, cfg, served); !ok || epoch != w.Epoch || slot.Hourly.Len() != 0 {
+		t.Errorf("live slot resident=%v at epoch %d holds %d hours, want totals only at epoch %d", ok, epoch, slot.Hourly.Len(), w.Epoch)
 	}
 }
 
@@ -503,16 +631,22 @@ func TestLiveChurnKeepsSimulatedYearsResident(t *testing.T) {
 	}
 }
 
-// residentLive returns the pair's one live slot, if it is resident.
-func residentLive(eng *Engine, cfg Config, stream *Stream) (memoYear, bool) {
+// residentLive returns the year and epoch in the pair's one live slot,
+// if it is resident.
+func residentLive(eng *Engine, cfg Config, stream *Stream) (core.Annual, uint64, bool) {
 	key := liveKey(cfg.Fingerprint(), stream)
-	return eng.shard(key).Lookup(key)
+	y, ok := eng.shard(key).Lookup(key)
+	if !ok {
+		return core.Annual{}, 0, false
+	}
+	return y.Annual, y.epoch, true
 }
 
 // TestLiveHeadsUnderIngestRace races feeds against live assessments of
 // several configurations. Once quiet, each (stream, configuration) pair
-// holds exactly one live year — the newest — and it is bit-identical to
-// a fresh splice of the final window over the simulated year.
+// holds exactly one live year — the newest — and its totals and
+// intensities are bit-identical to a fresh splice of the final window
+// over the simulated year, with no hourly channel kept.
 func TestLiveHeadsUnderIngestRace(t *testing.T) {
 	const window, feeders, assessors, samples = 64, 4, 4, 200
 	eng, stream := newLiveEngine(t, "", window)
@@ -557,7 +691,7 @@ func TestLiveHeadsUnderIngestRace(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, info, _, err := eng.liveAnnualFor(cfg, subUnplanned)
+		got, info, _, err := eng.liveAnnualFor(cfg, subUnplanned, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -569,12 +703,13 @@ func TestLiveHeadsUnderIngestRace(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := core.AnnualFrom(base.System, w.SpliceInto(base.Hourly))
-		if channelDigest(got.Hourly) != channelDigest(want.Hourly) || !reflect.DeepEqual(got, want) {
+		want.Hourly = series.Series{} // a live year is priced without its timeline
+		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s seed %d: live year differs from a fresh splice", cfg.System.Name, cfg.Seed)
 		}
-		if y, ok := residentLive(eng, cfg, stream); !ok || y.epoch != w.Epoch || !reflect.DeepEqual(y.Annual, want) {
+		if y, epoch, ok := residentLive(eng, cfg, stream); !ok || epoch != w.Epoch || !reflect.DeepEqual(y, want) {
 			t.Errorf("%s seed %d: live slot resident=%v at epoch %d, want the newest year (epoch %d)",
-				cfg.System.Name, cfg.Seed, ok, y.epoch, w.Epoch)
+				cfg.System.Name, cfg.Seed, ok, epoch, w.Epoch)
 		}
 	}
 }

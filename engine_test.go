@@ -10,6 +10,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"thirstyflops/internal/stats"
 )
 
 // marshalNormalizedErr serializes a result with the cache marker cleared,
@@ -612,6 +614,47 @@ func BenchmarkEngineAssessLiveTick(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineAssessLiveTickMidYear is BenchmarkEngineAssessLiveTick
+// with the window walking through the year: each tick ingests the hour
+// after the last, so the window's first hour advances and the fold
+// resumes from the simulated year's checkpoint at or before it. A stream
+// that reaches the end of the year is replaced by a fresh one.
+func BenchmarkEngineAssessLiveTickMidYear(b *testing.B) {
+	const window = 336
+	stream, err := NewStream("", 0, window)
+	if err != nil {
+		b.Fatal(err)
+	}
+	reg := NewStreamRegistry(stream)
+	eng := NewEngine(WithLiveStreams(reg))
+	ctx := context.Background()
+	req := AssessRequest{System: "Frontier", Source: SourceLive}
+	if _, err := eng.Assess(ctx, req); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i, hour := 0, 0; i < b.N; i, hour = i+1, hour+1 {
+		if hour == stats.HoursPerYear {
+			if stream, err = NewStream("", 0, window); err != nil {
+				b.Fatal(err)
+			}
+			reg.Register(stream)
+			hour = 0
+		}
+		if _, err := eng.Ingest(Sample{Hour: hour, Power: 2.1e7}); err != nil {
+			b.Fatal(err)
+		}
+		res, err := eng.Assess(ctx, req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Cached {
+			b.Fatal("a fresh epoch was served from the memo")
+		}
+	}
+}
+
 func BenchmarkEngineAssessCached(b *testing.B) {
 	eng := NewEngine()
 	req := AssessRequest{System: "Frontier"}
@@ -652,4 +695,50 @@ func BenchmarkEngineAssessCachedParallel(b *testing.B) {
 			}
 		}
 	})
+}
+
+// TestSharedMemoBudgetKeepsSkewedShardResident assesses a working set
+// whose fingerprints all land in one shard of an 8-shard, 32-entry memo:
+// 8 configurations, twice the shard's even share and a quarter of the
+// budget. The shards share the budget, so the whole set stays resident
+// and the second pass is all hits.
+func TestSharedMemoBudgetKeepsSkewedShardResident(t *testing.T) {
+	const capacity, set = 32, 8
+	eng := NewEngine(WithCache(capacity))
+	shards := len(eng.shards)
+	if shards != 8 {
+		t.Fatalf("%d shards, want 8", shards)
+	}
+	var reqs []AssessRequest
+	target := -1
+	for seed := uint64(1); len(reqs) < set; seed++ {
+		s := seed
+		req := AssessRequest{System: "Marconi", Seed: &s}
+		cfg, err := req.resolveConfig()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sh := cfg.Fingerprint().Shard(shards)
+		if target < 0 {
+			target = sh
+		}
+		if sh == target {
+			reqs = append(reqs, req)
+		}
+	}
+	ctx := context.Background()
+	for pass := 0; pass < 2; pass++ {
+		for i, req := range reqs {
+			res, err := eng.Assess(ctx, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Cached != (pass == 1) {
+				t.Errorf("pass %d, configuration %d: cached=%v", pass, i, res.Cached)
+			}
+		}
+	}
+	if st := eng.CacheStats(); st.Entries != set || st.Misses != set || st.Hits != set {
+		t.Errorf("stats = %+v, want %d entries, misses and hits", st, set)
+	}
 }

@@ -1,8 +1,11 @@
 // Package cache provides the memoization primitive shared by the Engine's
 // sharded assessment cache and the substrate layer: a mutex-guarded map
-// with an intrusive doubly-linked LRU list (O(1) touch and eviction, no
-// linear scans) and singleflight semantics — concurrent first requests
+// with an intrusive doubly-linked LRU list (O(1) touch, no scan over
+// entries) and singleflight semantics — concurrent first requests
 // for a key collapse into a single computation via a per-entry sync.Once.
+// Several caches may share one entry bound (NewSharded), so a sharded memo
+// holds as many entries as its bound however its keys hash, and evicts
+// its least recently used entries whichever shard holds them.
 package cache
 
 import (
@@ -16,31 +19,92 @@ import (
 var errComputePanicked = errors.New("cache: computation panicked")
 
 // entry is one memoized value threaded on the LRU list. The zero list
-// position is maintained by Cache; prev/next are protected by Cache.mu.
-// val/err are written exactly once — by Get's singleflight computation
-// (outside the cache lock) or by Add before the entry is shared — and
-// the done flag publishes them: a reader that did not itself run the
-// computation may touch val/err only after observing done, which is the
-// ordering that lets Lookup, Delete, and Add's eviction report coexist
-// with an in-flight Get on the same entry without a data race.
+// position is maintained by Cache; prev/next and stamp are protected by
+// Cache.mu. val/err are written exactly once — by Get's singleflight
+// computation (outside the cache lock) or by Add before the entry is
+// shared — and the done flag publishes them: a reader that did not
+// itself run the computation may touch val/err only after observing
+// done, which is the ordering that lets Lookup, Delete, and Add's
+// eviction report coexist with an in-flight Get on the same entry
+// without a data race.
 type entry[K comparable, V any] struct {
 	key        K
 	once       sync.Once
 	done       atomic.Bool
 	val        V
 	err        error
+	stamp      uint64 // the budget's clock when the entry was last touched
 	prev, next *entry[K, V]
 }
 
+// budget is an entry bound shared by the caches NewSharded builds on it.
+// An insert that takes the caches' combined entry count past the bound
+// evicts the least recently used entries across all of them, never the
+// entry just inserted, so one cache may hold most of the bound while
+// another holds little, and a cold entry ages out even if its own cache
+// never inserts again. Recency across caches is a clock that
+// advances on each insert and stamps every entry touched: the victim is
+// the oldest entry of the cache whose oldest entry has the oldest stamp.
+// Touches between two inserts share a stamp, so recency is exact within
+// a cache and resolved to the nearest insert across caches.
+type budget[K comparable, V any] struct {
+	max     int
+	entries atomic.Int64
+	clock   atomic.Uint64
+
+	mu     sync.Mutex // serializes evictions
+	caches []*Cache[K, V]
+}
+
+// evict removes the least recently used entries across b's caches while
+// their count exceeds the bound, sparing keep. Published evicted values
+// are appended to out when it is non-nil. The caller holds no cache
+// lock: b.mu is taken before any cache's, and one cache's at a time.
+func (b *budget[K, V]) evict(keep *entry[K, V], out *[]Evicted[K, V]) {
+	if b.entries.Load() <= int64(b.max) {
+		return
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for b.entries.Load() > int64(b.max) {
+		var (
+			victim *Cache[K, V]
+			oldest *entry[K, V]
+			stamp  uint64
+		)
+		for _, c := range b.caches {
+			c.mu.Lock()
+			if e := c.oldest(keep); e != nil && (oldest == nil || e.stamp < stamp) {
+				victim, oldest, stamp = c, e, e.stamp
+			}
+			c.mu.Unlock()
+		}
+		if victim == nil {
+			return
+		}
+		victim.mu.Lock()
+		// A touch between the scan and here moved the victim off the
+		// tail: rescan rather than evict a recently used entry.
+		if e := victim.oldest(keep); e == oldest && e.stamp == stamp {
+			victim.remove(e)
+			if out != nil && e.done.Load() {
+				*out = append(*out, Evicted[K, V]{Key: e.key, Val: e.val})
+			}
+		}
+		victim.mu.Unlock()
+	}
+}
+
 // Cache is a bounded LRU memo. The zero value is not usable; construct
-// with New. All methods are safe for concurrent use.
+// with New or NewSharded. All methods are safe for concurrent use.
 type Cache[K comparable, V any] struct {
 	mu      sync.Mutex
-	max     int
+	budget  *budget[K, V]
 	entries map[K]*entry[K, V]
-	// head/tail sentinels: head.next is most recent, tail.prev is the
-	// eviction candidate.
-	head, tail *entry[K, V]
+	// head/tail sentinels, held inline so a cache costs no allocation
+	// for them: head.next is most recent, tail.prev is the eviction
+	// candidate.
+	head, tail entry[K, V]
 	hits       uint64
 	misses     uint64
 }
@@ -48,15 +112,25 @@ type Cache[K comparable, V any] struct {
 // New builds a cache holding at most max entries. max <= 0 disables
 // memoization: Get always recomputes.
 func New[K comparable, V any](max int) *Cache[K, V] {
-	c := &Cache[K, V]{
-		max:     max,
-		entries: make(map[K]*entry[K, V]),
-		head:    &entry[K, V]{},
-		tail:    &entry[K, V]{},
+	return NewSharded[K, V](1, max)[0]
+}
+
+// NewSharded builds n caches sharing one bound of max entries, so they
+// hold max entries in all however their keys spread over them. max <= 0
+// disables memoization in all of them. The caller must not modify the
+// returned slice.
+func NewSharded[K comparable, V any](n, max int) []*Cache[K, V] {
+	b := &budget[K, V]{max: max, caches: make([]*Cache[K, V], n)}
+	for i := range b.caches {
+		c := &Cache[K, V]{
+			budget:  b,
+			entries: make(map[K]*entry[K, V]),
+		}
+		c.head.next = &c.tail
+		c.tail.prev = &c.head
+		b.caches[i] = c
 	}
-	c.head.next = c.tail
-	c.tail.prev = c.head
-	return c
+	return b.caches
 }
 
 // unlink removes e from the LRU list.
@@ -65,12 +139,46 @@ func (c *Cache[K, V]) unlink(e *entry[K, V]) {
 	e.next.prev = e.prev
 }
 
+// remove drops a resident entry from the list, the map and the budget.
+func (c *Cache[K, V]) remove(e *entry[K, V]) {
+	c.unlink(e)
+	delete(c.entries, e.key)
+	c.budget.entries.Add(-1)
+}
+
+// oldest is the least recently used entry other than keep, or nil.
+func (c *Cache[K, V]) oldest(keep *entry[K, V]) *entry[K, V] {
+	e := c.tail.prev
+	if e == keep {
+		e = e.prev
+	}
+	if e == &c.head {
+		return nil
+	}
+	return e
+}
+
 // pushFront inserts e as the most recently used entry.
 func (c *Cache[K, V]) pushFront(e *entry[K, V]) {
-	e.prev = c.head
+	e.prev = &c.head
 	e.next = c.head.next
 	c.head.next.prev = e
 	c.head.next = e
+}
+
+// touch moves a resident entry to the front of the list.
+func (c *Cache[K, V]) touch(e *entry[K, V]) {
+	c.unlink(e)
+	e.stamp = c.budget.clock.Load()
+	c.pushFront(e)
+}
+
+// insert threads a new entry at the front of the list and advances the
+// budget's clock, so the entry is newer than any touched before it.
+func (c *Cache[K, V]) insert(e *entry[K, V]) {
+	c.entries[e.key] = e
+	e.stamp = c.budget.clock.Add(1)
+	c.pushFront(e)
 }
 
 // Get returns the memoized value for key, computing it at most once per
@@ -94,34 +202,36 @@ func (c *Cache[K, V]) Get(key K, compute func() (V, error)) (V, bool, error) {
 // computation is still in flight is never replaced: the caller waits
 // for it like any other hit and must check the value it gets. fresh
 // runs under the cache lock, so it must be cheap and must not call
-// back into the cache.
+// back into the cache; it sees only values whose computation succeeded.
 func (c *Cache[K, V]) GetFresh(key K, fresh func(V) bool, compute func() (V, error)) (V, bool, error) {
-	if c.max <= 0 {
+	if c.budget.max <= 0 {
 		v, err := compute()
 		return v, false, err
 	}
 	c.mu.Lock()
 	e, cached := c.entries[key]
-	if cached && fresh != nil && e.done.Load() && !fresh(e.val) {
+	// fresh judges published values only: a failed computation's entry
+	// (zero value, settled error, removal pending) is shared like a hit.
+	replaced := cached && fresh != nil && e.done.Load() && e.err == nil && !fresh(e.val)
+	if replaced {
 		c.unlink(e)
 		cached = false
 	}
 	if cached {
 		c.hits++
-		c.unlink(e)
-		c.pushFront(e)
+		c.touch(e)
 	} else {
 		c.misses++
-		e = &entry[K, V]{key: key}
-		c.entries[key] = e
-		c.pushFront(e)
-		for len(c.entries) > c.max {
-			oldest := c.tail.prev
-			c.unlink(oldest)
-			delete(c.entries, oldest.key)
+		if !replaced {
+			c.budget.entries.Add(1)
 		}
+		e = &entry[K, V]{key: key}
+		c.insert(e)
 	}
 	c.mu.Unlock()
+	if !cached && !replaced {
+		c.budget.evict(e, nil)
+	}
 	e.once.Do(func() {
 		defer func() {
 			if e.done.Load() {
@@ -133,8 +243,7 @@ func (c *Cache[K, V]) GetFresh(key K, fresh func(V) bool, compute func() (V, err
 			// to the caller (whose recovery owns the accounting).
 			c.mu.Lock()
 			if cur, ok := c.entries[key]; ok && cur == e {
-				c.unlink(e)
-				delete(c.entries, key)
+				c.remove(e)
 			}
 			c.mu.Unlock()
 		}()
@@ -153,8 +262,7 @@ func (c *Cache[K, V]) GetFresh(key K, fresh func(V) bool, compute func() (V, err
 		// Only the entry that failed is dropped: a concurrent replacement
 		// under the same key (a retry that already succeeded) stays.
 		if cur, ok := c.entries[key]; ok && cur == e {
-			c.unlink(e)
-			delete(c.entries, key)
+			c.remove(e)
 		}
 		c.mu.Unlock()
 	}
@@ -170,7 +278,8 @@ type Evicted[K comparable, V any] struct {
 }
 
 // Add inserts an already-computed value, touching it most-recent, and
-// returns the entries evicted by the capacity bound (oldest first).
+// returns the entries evicted by the capacity bound (oldest first, from
+// whichever cache sharing the budget held them).
 // Together with Lookup and Delete it is the cache's table mode — same
 // LRU machinery, no singleflight — used where values are produced
 // externally (job retention) rather than memoized on demand. Adding an
@@ -184,7 +293,7 @@ type Evicted[K comparable, V any] struct {
 // yet, and only the computing goroutine ever sees it. max <= 0 stores
 // nothing.
 func (c *Cache[K, V]) Add(key K, v V) []Evicted[K, V] {
-	if c.max <= 0 {
+	if c.budget.max <= 0 {
 		return []Evicted[K, V]{{Key: key, Val: v}}
 	}
 	// The value is published before the entry is shared, so no reader
@@ -193,24 +302,18 @@ func (c *Cache[K, V]) Add(key K, v V) []Evicted[K, V] {
 	e.once.Do(func() {}) // a later Get on this entry never recomputes
 	e.done.Store(true)
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	var out []Evicted[K, V]
 	if old, ok := c.entries[key]; ok {
 		c.unlink(old)
 		if old.done.Load() {
 			out = append(out, Evicted[K, V]{Key: old.key, Val: old.val})
 		}
+	} else {
+		c.budget.entries.Add(1)
 	}
-	c.entries[key] = e
-	c.pushFront(e)
-	for len(c.entries) > c.max {
-		oldest := c.tail.prev
-		c.unlink(oldest)
-		delete(c.entries, oldest.key)
-		if oldest.done.Load() {
-			out = append(out, Evicted[K, V]{Key: oldest.key, Val: oldest.val})
-		}
-	}
+	c.insert(e)
+	c.mu.Unlock()
+	c.budget.evict(e, &out)
 	return out
 }
 
@@ -230,8 +333,7 @@ func (c *Cache[K, V]) Lookup(key K) (V, bool) {
 		return zero, false
 	}
 	c.hits++
-	c.unlink(e)
-	c.pushFront(e)
+	c.touch(e)
 	return e.val, true
 }
 
@@ -248,8 +350,7 @@ func (c *Cache[K, V]) Delete(key K) (V, bool) {
 		var zero V
 		return zero, false
 	}
-	c.unlink(e)
-	delete(c.entries, key)
+	c.remove(e)
 	if !e.done.Load() {
 		var zero V
 		return zero, true
@@ -277,7 +378,7 @@ func (c *Cache[K, V]) Keys() []K {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	out := make([]K, 0, len(c.entries))
-	for e := c.head.next; e != c.tail; e = e.next {
+	for e := c.head.next; e != &c.tail; e = e.next {
 		out = append(out, e.key)
 	}
 	return out

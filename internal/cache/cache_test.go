@@ -1,11 +1,14 @@
 package cache
 
 import (
+	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestGetMemoizes(t *testing.T) {
@@ -450,5 +453,194 @@ func TestGetFreshConcurrentSameEpoch(t *testing.T) {
 	}
 	if s := c.Stats(); s.Misses != 2 || s.Hits != 15 || s.Entries != 1 {
 		t.Errorf("stats = %+v, want 2 misses (first fill, one replacement), 15 hits, 1 entry", s)
+	}
+}
+
+// TestSharedBudgetKeepsSkewedSetResident spreads a working set unevenly
+// over four caches sharing an 8-entry budget: one holds 5 keys, more
+// than its even share of 2, and the set totals 7. A shared budget keeps
+// the whole set resident, so a second pass over it is all hits.
+func TestSharedBudgetKeepsSkewedSetResident(t *testing.T) {
+	shards := NewSharded[int, int](4, 8)
+	b := shards[0].budget
+	keys := [][]int{{0, 1, 2, 3, 4}, {5}, {6}, nil}
+	computes := 0
+	for pass := 0; pass < 2; pass++ {
+		for s, ks := range keys {
+			for _, k := range ks {
+				v, cached, err := shards[s].Get(k, func() (int, error) { computes++; return k, nil })
+				if err != nil || v != k || cached != (pass == 1) {
+					t.Fatalf("pass %d: Get(%d) on shard %d = (%d, cached=%v, %v)", pass, k, s, v, cached, err)
+				}
+			}
+		}
+	}
+	if computes != 7 || b.entries.Load() != 7 || shards[0].Stats().Entries != 5 {
+		t.Errorf("%d computes, %d entries (%d in the skewed shard), want 7, 7, 5", computes, b.entries.Load(), shards[0].Stats().Entries)
+	}
+}
+
+// TestSharedBudgetFollowsMovingWorkingSet fills an 8-entry budget from
+// one cache, then moves the working set to 6 keys of another. The
+// inserts evict the first cache's least recent entries, not the second
+// cache's new ones, so the moved set stays resident: its second pass is
+// all hits and the first cache keeps only its 2 most recent keys.
+func TestSharedBudgetFollowsMovingWorkingSet(t *testing.T) {
+	shards := NewSharded[int, int](2, 8)
+	old, moved, b := shards[0], shards[1], shards[0].budget
+	for k := 0; k < 8; k++ {
+		old.Get(k, func() (int, error) { return k, nil })
+	}
+	for pass := 0; pass < 2; pass++ {
+		for k := 100; k < 106; k++ {
+			if _, cached, err := moved.Get(k, func() (int, error) { return k, nil }); err != nil || cached != (pass == 1) {
+				t.Fatalf("pass %d: Get(%d) cached=%v err=%v", pass, k, cached, err)
+			}
+		}
+	}
+	if got := old.Keys(); !reflect.DeepEqual(got, []int{7, 6}) || b.entries.Load() != 8 {
+		t.Errorf("old working set keeps %v with %d entries in all, want [7 6] and 8", got, b.entries.Load())
+	}
+}
+
+// TestSharedBudgetEvictsOldestAcrossCaches fills a 2-entry budget from
+// one cache and inserts into an empty one: the full cache's least recent
+// entry goes, and Add reports it to its caller although another cache
+// held it. The entry just inserted stays even when it is the only
+// candidate in its own cache.
+func TestSharedBudgetEvictsOldestAcrossCaches(t *testing.T) {
+	shards := NewSharded[int, int](2, 2)
+	full, empty, b := shards[0], shards[1], shards[0].budget
+	for k := 0; k < 2; k++ {
+		full.Add(k, k)
+	}
+	if ev := empty.Add(9, 9); !reflect.DeepEqual(ev, []Evicted[int, int]{{Key: 0, Val: 0}}) {
+		t.Errorf("insert into the empty cache evicted %v, want key 0 of the full one", ev)
+	}
+	if _, ok := empty.Lookup(9); !ok || b.entries.Load() != 2 || !reflect.DeepEqual(full.Keys(), []int{1}) {
+		t.Fatalf("new entry resident=%v with %d entries, full cache keeps %v; want resident, 2, [1]", ok, b.entries.Load(), full.Keys())
+	}
+	if _, _, err := full.Get(2, func() (int, error) { return 2, nil }); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(full.Keys(), []int{2}) || !reflect.DeepEqual(empty.Keys(), []int{9}) {
+		t.Errorf("caches keep %v and %v, want [2] and [9]", full.Keys(), empty.Keys())
+	}
+}
+
+// TestGetFreshSkipsFailedEntry puts a cache in the state a failing
+// computation leaves for a moment — published with a nil value and an
+// error, not yet removed — and looks the key up with a predicate that
+// dereferences the value. The predicate is not consulted, the waiter
+// shares the error, and the cache stays usable.
+func TestGetFreshSkipsFailedEntry(t *testing.T) {
+	c := New[int, *int](4)
+	errBoom := errors.New("boom")
+	e := &entry[int, *int]{key: 1, err: errBoom}
+	e.once.Do(func() {})
+	e.done.Store(true)
+	c.mu.Lock()
+	c.budget.entries.Add(1)
+	c.insert(e)
+	c.mu.Unlock()
+	deref := func(p *int) bool { return *p > 0 }
+	if v, cached, err := c.GetFresh(1, deref, func() (*int, error) { return new(int), nil }); v != nil || !cached || err != errBoom {
+		t.Fatalf("GetFresh on a failed entry = (%v, cached=%v, %v), want the shared error", v, cached, err)
+	}
+	one := 1
+	if v, cached, err := c.GetFresh(1, deref, func() (*int, error) { return &one, nil }); v != &one || cached || err != nil {
+		t.Fatalf("retry = (%v, cached=%v, %v), want a fresh computation", v, cached, err)
+	}
+	unused := func() (*int, error) { t.Error("a fresh hit recomputed"); return nil, nil }
+	if v, cached, err := c.GetFresh(1, deref, unused); v != &one || !cached || err != nil || c.budget.entries.Load() != 1 {
+		t.Errorf("repeat = (%v, cached=%v, %v) with %d entries, want a hit on 1 entry", v, cached, err, c.budget.entries.Load())
+	}
+}
+
+// TestGetFreshFailingComputeRace races failing computations that publish
+// a nil value against lookups whose predicate dereferences it (run with
+// -race). Every call returns, and once quiet the key computes normally.
+func TestGetFreshFailingComputeRace(t *testing.T) {
+	c := New[int, *int](4)
+	errBoom := errors.New("boom")
+	deref := func(p *int) bool { return *p > 0 }
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				if g%2 == 0 {
+					c.GetFresh(1, deref, func() (*int, error) { return nil, errBoom })
+				} else {
+					c.GetFresh(1, deref, func() (*int, error) { return new(int), nil })
+				}
+			}
+		}(g)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("lookups did not return: a cache lock is held")
+	}
+	one := 1
+	if _, _, err := c.GetFresh(2, deref, func() (*int, error) { return &one, nil }); err != nil {
+		t.Fatal(err)
+	}
+	if s := c.Stats(); s.Entries != int(c.budget.entries.Load()) {
+		t.Errorf("%d entries, count %d", s.Entries, c.budget.entries.Load())
+	}
+}
+
+// TestSharedBudgetCountUnderRace hammers four caches sharing a budget
+// with every path that inserts or removes an entry — Get, GetFresh
+// replacement, failing and panicking computes, Add and Delete — from
+// many goroutines (run with -race). Once quiet, the shared count is the
+// sum of the caches' entries.
+func TestSharedBudgetCountUnderRace(t *testing.T) {
+	const max = 16
+	shards := NewSharded[int, int](4, max)
+	b := shards[0].budget
+	errBoom := fmt.Errorf("boom")
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 400; i++ {
+				k := (w*7 + i) % 40
+				c := shards[k%len(shards)]
+				switch i % 6 {
+				case 0:
+					c.Get(k, func() (int, error) { return k, nil })
+				case 1:
+					c.GetFresh(k, func(v int) bool { return v > i }, func() (int, error) { return i, nil })
+				case 2:
+					c.Get(k, func() (int, error) { return 0, errBoom })
+				case 3:
+					func() {
+						defer func() { _ = recover() }()
+						c.Get(k, func() (int, error) { panic("boom") })
+					}()
+				case 4:
+					c.Add(k, k)
+				case 5:
+					c.Delete(k)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	sum := 0
+	for _, c := range shards {
+		sum += c.Stats().Entries
+	}
+	if n := b.entries.Load(); n != int64(sum) {
+		t.Errorf("shared count %d, caches hold %d entries", n, sum)
+	}
+	if sum > max {
+		t.Errorf("%d entries, budget %d", sum, max)
 	}
 }

@@ -115,7 +115,8 @@ type Annual struct {
 	// facility overhead used throughout the derived accounting. The
 	// intensity channels alias shared substrate state (every year of the
 	// same site, region and seed reads the same hours), so Hourly is
-	// read-only: Clone it before writing to any channel.
+	// read-only: Clone it before writing to any channel. It is empty in
+	// a year built by Spliced.
 	Hourly series.Series
 
 	// Aggregates.
@@ -177,8 +178,9 @@ func (c Config) AssessTraced() (Annual, SubstrateTrace, error) {
 	// channels alias the memoized substrate years (series channels are
 	// read-only after construction).
 	draw := make([]units.KWh, len(util))
+	power := c.System.PowerModel()
 	for h := range util {
-		draw[h] = c.System.PowerAt(util[h]).EnergyOver(1)
+		draw[h] = power.At(util[h]).EnergyOver(1)
 	}
 	s, err := series.From(c.System.PUE, draw, wueYr, grid.EWF, grid.Carbon)
 	if err != nil {
@@ -199,9 +201,10 @@ func (c Config) SubstrateKeys() substrate.Keys {
 }
 
 // AnnualFrom wraps an hourly timeline with its aggregate totals — the
-// single constructor for an assessed year, whether the timeline came
-// from simulation (Config.Assess) or from a simulated year spliced with
-// live telemetry (the Engine's observed-demand path).
+// single constructor for an assessed year that carries its timeline,
+// whether it came from simulation (Config.Assess) or from the
+// persistence log. A live year priced without its timeline comes from
+// Annual.Spliced.
 func AnnualFrom(system string, s series.Series) Annual {
 	t := s.Totals()
 	return Annual{
@@ -213,6 +216,29 @@ func AnnualFrom(system string, s series.Series) Annual {
 		Carbon:       t.Carbon,
 		meanDirect:   t.MeanDirect,
 		meanIndirect: t.MeanIndirect,
+		hasMeans:     true,
+	}
+}
+
+// Spliced prices a without its timeline after some of its energy hours
+// are replaced: f is the fold of the replacement energy over a's hours
+// (series.Checkpoints.Resume). The aggregates come from f. The annual-mean
+// water intensities are a's, because they depend only on the PUE and the
+// intensity channels, which a splice does not touch. Every aggregate and
+// intensity equals AnnualFrom's over the spliced series bit for bit, but
+// Hourly is empty, so the hourly views (Monthly, MeanCarbonIntensity,
+// WriteSeriesCSV) are not available on the result.
+func (a Annual) Spliced(f series.Fold) Annual {
+	d, i, _ := a.WaterIntensity()
+	t := f.Totals()
+	return Annual{
+		System:       a.System,
+		Energy:       t.Energy,
+		Direct:       t.Direct,
+		Indirect:     t.Indirect,
+		Carbon:       t.Carbon,
+		meanDirect:   d,
+		meanIndirect: i,
 		hasMeans:     true,
 	}
 }

@@ -343,14 +343,31 @@ func (s System) StorageGB(kind StorageKind) units.GB {
 // PowerAt estimates instantaneous IT power at a utilization in [0,1] with
 // the standard linear idle-to-peak model.
 func (s System) PowerAt(utilization float64) units.Watts {
+	return s.PowerModel().At(utilization)
+}
+
+// PowerModel is a system's linear idle-to-peak power model with its idle
+// draw and idle-to-peak span computed once, so an hourly loop prices each
+// hour without copying the System.
+type PowerModel struct {
+	idle, span float64
+}
+
+// PowerModel returns the power model PowerAt evaluates.
+func (s System) PowerModel() PowerModel {
+	idle := float64(s.PeakPower) * s.IdleFraction
+	return PowerModel{idle: idle, span: float64(s.PeakPower) - idle}
+}
+
+// At is the IT power at a utilization, clamped to [0,1].
+func (m PowerModel) At(utilization float64) units.Watts {
 	if utilization < 0 {
 		utilization = 0
 	}
 	if utilization > 1 {
 		utilization = 1
 	}
-	idle := float64(s.PeakPower) * s.IdleFraction
-	return units.Watts(idle + (float64(s.PeakPower)-idle)*utilization)
+	return units.Watts(m.idle + m.span*utilization)
 }
 
 // Marconi100 returns CINECA's Marconi100 (Bologna, 2019): IBM POWER9 +

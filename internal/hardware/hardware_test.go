@@ -156,6 +156,23 @@ func TestPowerAt(t *testing.T) {
 	}
 }
 
+// TestPowerModelKeepsLinearFormula pins the precomputed model to the
+// linear idle-to-peak expression evaluated per call, bit for bit, so
+// hoisting it out of the hourly loop moves no assessed year.
+func TestPowerModelKeepsLinearFormula(t *testing.T) {
+	for _, s := range append(Systems(), OutlookSystems()...) {
+		m := s.PowerModel()
+		for i := 0; i <= 1000; i++ {
+			u := float64(i) / 1000
+			idle := float64(s.PeakPower) * s.IdleFraction
+			want := idle + (float64(s.PeakPower)-idle)*u
+			if got := float64(m.At(u)); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s at %v: model %v, formula %v", s.Name, u, got, want)
+			}
+		}
+	}
+}
+
 func TestSystemValidateRejects(t *testing.T) {
 	s := Polaris()
 	s.PUE = 0.8

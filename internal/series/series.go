@@ -11,8 +11,8 @@
 // slices it is given and Slice the channels of its series, so one
 // intensity channel may back many series at once: every year assessed
 // at the same site, grid and seed shares the memoized WUE, EWF and
-// carbon hours, and a live year shares them with the simulated year it
-// was spliced from. Clone before you mutate any channel.
+// carbon hours, and a live timeline shares them with the simulated year
+// it was spliced from. Clone before you mutate any channel.
 package series
 
 import (
@@ -141,28 +141,112 @@ func (t Totals) Operational() units.Liters { return t.Direct + t.Indirect }
 // Totals integrates the full series. The intensity sums d and i keep
 // MeanWaterIntensity's order and expression shape, so the means match it.
 func (s Series) Totals() Totals {
-	var energy, direct, indirect, carbon, d, i float64
+	n := s.Len()
+	energy, wue, ewf, ci := s.Energy[:n], s.WUE[:n], s.EWF[:n], s.Carbon[:n]
+	var f Fold
+	var d, i float64
 	pue := float64(s.PUE)
-	for h := range s.Energy {
-		e := float64(s.Energy[h])
-		energy += e
-		direct += e * float64(s.WUE[h])
-		indirect += e * pue * float64(s.EWF[h])
-		carbon += e * pue * float64(s.Carbon[h])
-		d += float64(s.WUE[h])
-		i += pue * float64(s.EWF[h])
+	for h := range energy {
+		f = f.add(float64(energy[h]), float64(wue[h]), float64(ewf[h]), float64(ci[h]), pue)
+		d += float64(wue[h])
+		i += pue * float64(ewf[h])
 	}
-	t := Totals{
-		Energy:   units.KWh(energy),
-		Direct:   units.Liters(direct),
-		Indirect: units.Liters(indirect),
-		Carbon:   units.GramsCO2(carbon),
-	}
-	if n := s.Len(); n > 0 {
+	t := f.Totals()
+	if n > 0 {
 		t.MeanDirect = units.LPerKWh(d / float64(n))
 		t.MeanIndirect = units.LPerKWh(i / float64(n))
 	}
 	return t
+}
+
+// Fold is the running state of Totals' four energy-weighted sums after
+// a prefix of the hours. Totals and Checkpoints.Resume both advance it
+// with one add per hour, in hour order, so a fold resumed from a
+// checkpoint ends bit-identical to a full Totals pass.
+type Fold struct {
+	Energy, Direct, Indirect, Carbon float64
+}
+
+// add returns the fold after an hour drawing energy e at intensities
+// wue, ewf and ci. It takes and returns values, not a Series or a
+// pointer, so an inlined loop keeps the four sums in registers.
+func (f Fold) add(e, wue, ewf, ci, pue float64) Fold {
+	return Fold{
+		Energy:   f.Energy + e,
+		Direct:   f.Direct + e*wue,
+		Indirect: f.Indirect + e*pue*ewf,
+		Carbon:   f.Carbon + e*pue*ci,
+	}
+}
+
+// over returns the fold advanced over hours [lo, hi) of s, each drawing
+// its own energy.
+func (f Fold) over(s Series, lo, hi int) Fold {
+	energy, wue, ewf, ci := s.Energy[lo:hi], s.WUE[lo:hi], s.EWF[lo:hi], s.Carbon[lo:hi]
+	pue := float64(s.PUE)
+	for h := range energy {
+		f = f.add(float64(energy[h]), float64(wue[h]), float64(ewf[h]), float64(ci[h]), pue)
+	}
+	return f
+}
+
+// Totals converts the fold into the Eq. 1 operational components. The
+// annual-mean intensities are left zero: they do not depend on energy.
+func (f Fold) Totals() Totals {
+	return Totals{
+		Energy:   units.KWh(f.Energy),
+		Direct:   units.Liters(f.Direct),
+		Indirect: units.Liters(f.Indirect),
+		Carbon:   units.GramsCO2(f.Carbon),
+	}
+}
+
+// checkpointHours is the spacing of Checkpoints: one fold per day.
+const checkpointHours = 24
+
+// Checkpoints holds a series' Fold at every day boundary: entry d is the
+// fold of hours [0, 24d). A year's checkpoints take 365 × 32 bytes.
+type Checkpoints []Fold
+
+// Checkpoints folds the series once, keeping the state at every day
+// boundary.
+func (s Series) Checkpoints() Checkpoints {
+	n := s.Len()
+	out := make(Checkpoints, 0, n/checkpointHours+1)
+	var f Fold
+	for lo := 0; lo < n; lo += checkpointHours {
+		out = append(out, f)
+		f = f.over(s, lo, min(lo+checkpointHours, n))
+	}
+	return out
+}
+
+// Resume folds s with energy[i] read in place of hour lo+i wherever
+// observed[i] is set, starting from the last checkpoint at or before lo,
+// and returns the fold over every hour. c must be s.Checkpoints(). Hours
+// before lo are s's own, so the result is bit-identical to the Totals of
+// the spliced copy of s, and no copy is made. Entries past the end of s
+// are ignored.
+func (c Checkpoints) Resume(s Series, lo int, energy []units.KWh, observed []bool) Fold {
+	var f Fold
+	h, n := 0, s.Len()
+	if day := min(max(lo, 0)/checkpointHours, len(c)-1); day >= 0 {
+		f, h = c[day], day*checkpointHours
+	}
+	// Hours [h, from) precede the window, [from, to) are the window's
+	// and [to, n) follow it.
+	from := min(max(lo, h), n)
+	to := min(max(lo+len(observed), from), n)
+	f = f.over(s, h, from)
+	pue := float64(s.PUE)
+	for h := from; h < to; h++ {
+		e := s.Energy[h]
+		if observed[h-lo] {
+			e = energy[h-lo]
+		}
+		f = f.add(float64(e), float64(s.WUE[h]), float64(s.EWF[h]), float64(s.Carbon[h]), pue)
+	}
+	return f.over(s, to, n)
 }
 
 // MeanWaterIntensity returns the annual-mean direct, indirect, and total

@@ -3,6 +3,7 @@ package series
 import (
 	"bytes"
 	"math"
+	"math/rand"
 	"testing"
 
 	"thirstyflops/internal/units"
@@ -217,4 +218,69 @@ func TestCumulativeMatchesDirectSums(t *testing.T) {
 			t.Errorf("window %v: carbon %v vs direct %v", w, got, ci)
 		}
 	}
+}
+
+// randomSeries is an n-hour series of pseudo-random channels.
+func randomSeries(n int, seed int64) Series {
+	rng := rand.New(rand.NewSource(seed))
+	s, err := New(units.PUE(1+rng.Float64()), n)
+	if err != nil {
+		panic(err)
+	}
+	for h := 0; h < n; h++ {
+		s.Energy[h] = units.KWh(1e4 * rng.Float64())
+		s.WUE[h] = units.LPerKWh(3 * rng.Float64())
+		s.EWF[h] = units.LPerKWh(5 * rng.Float64())
+		s.Carbon[h] = units.GCO2PerKWh(800 * rng.Float64())
+	}
+	return s
+}
+
+// TestResumeMatchesSplicedTotals resumes the fold at every first hour
+// of a random window with gaps, including windows that start before hour
+// 0 or reach past the end, and compares it with Totals of an explicit
+// splice, bit for bit. 1,000 hours leaves a partial last day.
+func TestResumeMatchesSplicedTotals(t *testing.T) {
+	const n = 1000
+	s := randomSeries(n, 7)
+	c := s.Checkpoints()
+	if len(c) != (n+checkpointHours-1)/checkpointHours || c[0] != (Fold{}) {
+		t.Fatalf("%d checkpoints starting at %+v", len(c), c[0])
+	}
+	if full := c.Resume(s, 0, nil, nil).Totals(); full != s.Totals().withoutMeans() {
+		t.Fatalf("resumed without a window %+v, Totals %+v", full, s.Totals())
+	}
+	rng := rand.New(rand.NewSource(8))
+	for lo := -30; lo <= n+5; lo++ {
+		size := rng.Intn(80)
+		energy := make([]units.KWh, size)
+		observed := make([]bool, size)
+		for i := range energy {
+			energy[i] = units.KWh(1e4 * rng.Float64())
+			observed[i] = rng.Intn(4) != 0
+		}
+		spliced := s.Clone()
+		for i, ok := range observed {
+			if h := lo + i; ok && h >= 0 && h < n {
+				spliced.Energy[h] = energy[i]
+			}
+		}
+		got := c.Resume(s, lo, energy, observed)
+		want := spliced.Totals()
+		for _, pair := range [][2]float64{
+			{got.Energy, float64(want.Energy)}, {got.Direct, float64(want.Direct)},
+			{got.Indirect, float64(want.Indirect)}, {got.Carbon, float64(want.Carbon)},
+		} {
+			if math.Float64bits(pair[0]) != math.Float64bits(pair[1]) {
+				t.Fatalf("lo %d, %d hours: resumed %+v, spliced Totals %+v", lo, size, got, want)
+			}
+		}
+	}
+}
+
+// withoutMeans drops the annual-mean intensities, which a Fold does not
+// carry.
+func (t Totals) withoutMeans() Totals {
+	t.MeanDirect, t.MeanIndirect = 0, 0
+	return t
 }
