@@ -80,6 +80,14 @@ func BenchmarkGridYear(b *testing.B) {
 	}
 }
 
+func BenchmarkUtilizationYear(b *testing.B) {
+	demand := jobs.DefaultDemand()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		_ = demand.UtilizationYear(uint64(i))
+	}
+}
+
 func BenchmarkWUECurveSeries(b *testing.B) {
 	curve := wue.DefaultCurve()
 	wbs := weather.WetBulbSeries(weather.Kobe().HourlyYear(1))

@@ -258,8 +258,9 @@ func TestSharesAccessors(t *testing.T) {
 	if err := (Shares{}).Validate(); err == nil {
 		t.Error("empty shares accepted")
 	}
-	if z := (Shares{}).normalized(); z != (Shares{}) {
-		t.Errorf("all-zero shares changed by normalized: %v", z)
+	var z Shares
+	if z.normalize(sourceOrder[:]); z != (Shares{}) {
+		t.Errorf("all-zero shares changed by normalize: %v", z)
 	}
 }
 

@@ -2,10 +2,12 @@ package energy
 
 import (
 	"encoding/hex"
+	"math"
 	"runtime/debug"
 	"testing"
 
 	"thirstyflops/internal/fingerprint"
+	"thirstyflops/internal/units"
 )
 
 // goldenSeeds are the seeds every golden generator digest covers.
@@ -96,6 +98,37 @@ func TestGoldenGridYears(t *testing.T) {
 		})
 		if signals != want.signals {
 			t.Errorf("%s: Signals digest %s, want %s", name, signals, want.signals)
+		}
+	}
+}
+
+// TestActiveSourceSumsMatchAllSources checks the hourly loop's skip of
+// sources a region never dispatches: every hour's carbon intensity, and
+// its EWF where no evaporation boost applies, must equal the weighted
+// sum over every source of that hour's mix, bit for bit. Texas carries
+// non-finite factors on sources it never dispatches, whose 0 shares
+// must still turn the sums into NaN.
+func TestActiveSourceSumsMatchAllSources(t *testing.T) {
+	odd := Texas()
+	odd.EWFOverrides = map[Source]units.LPerKWh{Oil: units.LPerKWh(math.Inf(1))}
+	odd.CarbonOverrides = map[Source]units.GCO2PerKWh{Hydro: units.GCO2PerKWh(math.NaN())}
+	regions := []Region{odd}
+	for _, r := range AllRegions() {
+		regions = append(regions, r)
+	}
+	for _, r := range regions {
+		ewfF := factors(Source.EWF, r.EWFOverrides)
+		carbonF := factors(Source.CarbonIntensity, r.CarbonOverrides)
+		for _, hr := range r.HourlyYear(7) {
+			if want := hr.Mix.weigh(&carbonF, sourceOrder[:]); math.Float64bits(float64(hr.Carbon)) != math.Float64bits(want) {
+				t.Fatalf("%s hour %d: carbon %v, all-source sum %v", r.Name, hr.Index, hr.Carbon, want)
+			}
+			if r.HydroEvapSummerBoost != 0 && hr.Mix[Hydro] != 0 {
+				continue
+			}
+			if want := hr.Mix.weigh(&ewfF, sourceOrder[:]); math.Float64bits(float64(hr.EWF)) != math.Float64bits(want) {
+				t.Fatalf("%s hour %d: EWF %v, all-source sum %v", r.Name, hr.Index, hr.EWF, want)
+			}
 		}
 	}
 }

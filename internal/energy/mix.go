@@ -72,13 +72,13 @@ func (m Mix) Share(s Source) float64 { return m[s] }
 // Accumulation runs in the stable source order for reproducibility.
 func (m Mix) EWF(overrides map[Source]units.LPerKWh) units.LPerKWh {
 	f := factors(Source.EWF, overrides)
-	return units.LPerKWh(m.shares().weigh(&f))
+	return units.LPerKWh(m.shares().weigh(&f, sourceOrder[:]))
 }
 
 // CarbonIntensity computes the share-weighted carbon intensity of the mix.
 func (m Mix) CarbonIntensity(overrides map[Source]units.GCO2PerKWh) units.GCO2PerKWh {
 	f := factors(Source.CarbonIntensity, overrides)
-	return units.GCO2PerKWh(m.shares().weigh(&f))
+	return units.GCO2PerKWh(m.shares().weigh(&f, sourceOrder[:]))
 }
 
 // factors resolves a per-source factor table: the Fig. 5 median of each
@@ -160,35 +160,38 @@ func (m Shares) Validate() error {
 	return nil
 }
 
-// normalized returns the shares rescaled to sum to 1 with the arithmetic
-// of Mix.Normalized: negative shares count as 0, and shares whose total
-// is zero are returned unchanged.
-func (m Shares) normalized() Shares {
+// normalize rescales the shares to sum to 1 with the arithmetic of
+// Mix.Normalized: negative shares count as 0, and shares whose total is
+// zero are left unchanged. Only the sources in over (in source order)
+// are read or rescaled; every other share must be 0, which it stays, so
+// the result is the same as over every source, bit for bit.
+func (m *Shares) normalize(over []Source) {
 	sum := 0.0
-	for _, w := range m {
-		if w > 0 {
+	for _, s := range over {
+		if w := m[s]; w > 0 {
 			sum += w
 		}
 	}
 	if sum == 0 {
-		return m
+		return
 	}
-	for s, w := range m {
+	for _, s := range over {
+		w := m[s]
 		if w < 0 {
 			w = 0
 		}
 		m[s] = w / sum
 	}
-	return m
 }
 
 // weigh returns the share-weighted sum of per-source factors (Eq. 7),
-// accumulated in source order. An absent source adds +0, which leaves
-// the sum exact because shares are non-negative and factors finite.
-func (m Shares) weigh(f *[numSources]float64) float64 {
+// accumulated over the sources in over, in source order. A source left
+// out must have share 0 and a finite factor: its term would add +0,
+// which leaves the sum exact because shares are non-negative.
+func (m Shares) weigh(f *[numSources]float64, over []Source) float64 {
 	total := 0.0
-	for s, w := range m {
-		total += w * f[s]
+	for _, s := range over {
+		total += m[s] * f[s]
 	}
 	return total
 }

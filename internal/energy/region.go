@@ -156,14 +156,42 @@ func (r Region) Signals(seed uint64) ([]units.LPerKWh, []units.GCO2PerKWh) {
 func (r Region) generate(seed uint64, emit func(Hour)) {
 	rng := stats.NewRNG(seed ^ hashName(r.Name))
 	base := r.Base.shares()
-	var variable [numSources]bool // dispatched from base; the balancer absorbs the rest
-	for s := range r.Base {
-		if s.valid() && s != r.Balancer {
-			variable[s] = true
-		}
-	}
 	ewfF := factors(Source.EWF, r.EWFOverrides)
 	carbonF := factors(Source.CarbonIntensity, r.CarbonOverrides)
+
+	// The variable sources are dispatched from base and the balancer
+	// absorbs the rest; active lists both, in source order. Every other
+	// share is 0 all year, so the hourly sums skip it: its term would add
+	// +0 and leave them bit for bit unchanged. A source with a non-finite
+	// factor stays active, where its 0 share still makes the sum NaN.
+	var isVariable [numSources]bool
+	for s := range r.Base {
+		if s.valid() && s != r.Balancer {
+			isVariable[s] = true
+		}
+	}
+	var variableArr, activeArr [numSources]Source
+	variable, active := variableArr[:0], activeArr[:0]
+	for _, s := range sourceOrder {
+		if isVariable[s] {
+			variable = append(variable, s)
+		}
+		if isVariable[s] || s == r.Balancer || !finite(ewfF[s]) || !finite(carbonF[s]) {
+			active = append(active, s)
+		}
+	}
+
+	// The seasonal cosines, fetched only for the terms the region uses.
+	var hydroCos, solarCos, evapCos *[stats.HoursPerYear]float64
+	if isVariable[Hydro] {
+		hydroCos = stats.SeasonCos(r.HydroPeakDay)
+	}
+	if isVariable[Solar] {
+		solarCos = stats.SeasonCos(172)
+	}
+	if r.HydroEvapSummerBoost != 0 {
+		evapCos = stats.SeasonCos(200)
+	}
 
 	// Slow AR(1) noise for hydrology (correlation time ~3 weeks) and a
 	// faster one for wind (~ half a day).
@@ -174,25 +202,21 @@ func (r Region) generate(seed uint64, emit func(Hour)) {
 	windInnov := r.WindNoise * math.Sqrt(1-windAR*windAR)
 
 	for h := 0; h < stats.HoursPerYear; h++ {
-		day := float64(h) / 24.0
-
 		hydroNoise = hydroAR*hydroNoise + rng.NormMeanStd(0, hydroInnov)
 		windNoise = windAR*windNoise + rng.NormMeanStd(0, windInnov)
 
 		var m Shares
 		var dispatched float64
-		for s, share := range base {
-			if !variable[s] {
-				continue
-			}
-			switch Source(s) {
+		for _, s := range variable {
+			share := base[s]
+			switch s {
 			case Hydro:
 				// Availability is floored at 25 % of base: reservoirs keep
 				// minimum environmental flows even in dry winters.
-				avail := 1 + r.HydroSeasonality*math.Cos(2*math.Pi*(day-r.HydroPeakDay)/365) + hydroNoise
+				avail := 1 + r.HydroSeasonality*hydroCos[h] + hydroNoise
 				share = share * stats.Clamp(avail, 0.25, 2.2)
 			case Solar:
-				season := 1 + r.SolarSeasonality*math.Cos(2*math.Pi*(day-172)/365)
+				season := 1 + r.SolarSeasonality*solarCos[h]
 				share = share * solarDaylight[h%24] / solarDailyMean * stats.Clamp(season, 0, 2)
 			case Wind:
 				share = share * stats.Clamp(1+windNoise, 0.05, 2.5)
@@ -206,27 +230,25 @@ func (r Region) generate(seed uint64, emit func(Hour)) {
 		if r.Balancer.valid() {
 			m[r.Balancer] = math.Max(0, 1-dispatched)
 		}
-		m = m.normalized()
+		m.normalize(active)
 
+		ewf := m.weigh(&ewfF, active)
+		if r.HydroEvapSummerBoost != 0 && m[Hydro] != 0 {
+			// Reservoir evaporation peaks with insolation around day 200.
+			boost := r.HydroEvapSummerBoost * evapCos[h]
+			ewf += m[Hydro] * ewfF[Hydro] * boost
+		}
 		emit(Hour{
 			Index:  h,
 			Mix:    m,
-			EWF:    r.ewfAt(m, &ewfF, day),
-			Carbon: units.GCO2PerKWh(m.weigh(&carbonF)),
+			EWF:    units.LPerKWh(ewf),
+			Carbon: units.GCO2PerKWh(m.weigh(&carbonF, active)),
 		})
 	}
 }
 
-// ewfAt computes the mix EWF with the seasonal hydro-evaporation boost
-// applied on top of the resolved factors.
-func (r Region) ewfAt(m Shares, ewf *[numSources]float64, day float64) units.LPerKWh {
-	base := units.LPerKWh(m.weigh(ewf))
-	if r.HydroEvapSummerBoost == 0 || m[Hydro] == 0 {
-		return base
-	}
-	boost := r.HydroEvapSummerBoost * math.Cos(2*math.Pi*(day-200)/365)
-	return base + units.LPerKWh(m[Hydro]*ewf[Hydro]*boost)
-}
+// finite reports whether f is neither infinite nor NaN.
+func finite(f float64) bool { return !math.IsInf(f, 0) && !math.IsNaN(f) }
 
 // AnnualEWF returns the hourly EWF values of a simulated year.
 func AnnualEWF(hours []Hour) []float64 {

@@ -33,12 +33,18 @@ const (
 	numSources
 )
 
-// AllSources lists every modeled source in a stable order.
-func AllSources() []Source {
-	out := make([]Source, numSources)
+// sourceOrder is every modeled source in index order.
+var sourceOrder = func() (out [numSources]Source) {
 	for i := range out {
 		out[i] = Source(i)
 	}
+	return out
+}()
+
+// AllSources lists every modeled source in a stable order.
+func AllSources() []Source {
+	out := make([]Source, numSources)
+	copy(out, sourceOrder[:])
 	return out
 }
 

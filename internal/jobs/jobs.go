@@ -63,6 +63,26 @@ func (d DemandModel) Fingerprint(h *fingerprint.Hasher) {
 	h.Float(d.Cap)
 }
 
+// queueCos is the queue harmonic by hour of day: queues fill during
+// working hours and drain overnight, peaking at 16:00.
+var queueCos = func() (t [24]float64) {
+	for i := range t {
+		hourOfDay := float64(i)
+		t[i] = math.Cos(2 * math.Pi * (hourOfDay - 16) / 24)
+	}
+	return t
+}()
+
+// cycleSin is the allocation-cycle harmonic by hour of year: demand
+// peaks before quarterly deadlines.
+var cycleSin = func() (t [stats.HoursPerYear]float64) {
+	for h := range t {
+		day := float64(h) / 24
+		t[h] = math.Sin(2 * math.Pi * day / 91.25)
+	}
+	return t
+}()
+
 // UtilizationYear generates one year of hourly utilization.
 func (d DemandModel) UtilizationYear(seed uint64) []float64 {
 	rng := stats.NewRNG(seed ^ 0xA5A5A5A5)
@@ -71,18 +91,14 @@ func (d DemandModel) UtilizationYear(seed uint64) []float64 {
 	noise := 0.0
 	innov := d.NoiseStd * math.Sqrt(1-ar*ar)
 	for h := range out {
-		day := float64(h) / 24
-		hourOfDay := float64(h % 24)
-		weekday := int(day) % 7 // day 0 is a Monday
+		weekday := h / 24 % 7 // day 0 is a Monday
 
 		u := d.Mean
-		// Queues fill during working hours; drain overnight.
-		u += d.DailySwing * math.Cos(2*math.Pi*(hourOfDay-16)/24)
+		u += d.DailySwing * queueCos[h%24]
 		if weekday >= 5 {
 			u -= d.WeeklySwing
 		}
-		// Allocation cycles: demand peaks before quarterly deadlines.
-		u += d.CycleSwing * math.Sin(2*math.Pi*day/91.25)
+		u += d.CycleSwing * cycleSin[h]
 		noise = ar*noise + rng.NormMeanStd(0, innov)
 		u += noise
 		out[h] = stats.Clamp(u, d.Floor, d.Cap)

@@ -2,8 +2,10 @@
 // on: descriptive statistics, min-max normalization, correlation, quantiles,
 // time-series aggregation helpers, and a deterministic random generator.
 //
-// Everything here is dependency-free and operates on plain []float64 so the
-// domain packages can stay focused on modeling.
+// Everything here operates on plain []float64 so the domain packages can
+// stay focused on modeling, and depends on nothing but the standard
+// library, except the SeasonCos tables, which are memoized in
+// internal/cache.
 package stats
 
 import (

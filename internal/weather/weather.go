@@ -213,9 +213,9 @@ func (s Site) generate(seed uint64, emit func(Sample)) {
 	const ar = 0.96
 	noise := 0.0
 	innovStd := s.NoiseStd * math.Sqrt(1-ar*ar)
+	season := stats.SeasonCos(s.WarmestDay)
 	for h := 0; h < stats.HoursPerYear; h++ {
-		day := float64(h) / 24.0
-		seasonCos := math.Cos(2 * math.Pi * (day - s.WarmestDay) / 365.0)
+		seasonCos := season[h]
 		dayCos := diurnalCos[h%24]
 
 		seasonal := float64(s.SeasonalAmp) * seasonCos
