@@ -129,7 +129,7 @@ func BenchmarkScenarioSweep(b *testing.B) {
 // BenchmarkEngineLiveChurnReads is live telemetry beside simulated
 // reads on one memo: each op ingests one hour, assesses the fresh live
 // year and makes 2 simulated reads cycling over a 4-configuration set.
-// The one-shard memo holds exactly the read set, the live
+// The memo holds exactly the read set, the live
 // configuration's base year and one live year, so every read hits as
 // long as a tick replaces the year in its stream and configuration's
 // live slot instead of evicting a simulated one. read-misses/op reports

@@ -38,19 +38,16 @@ import (
 // enough to create per process and is safe for use from multiple
 // goroutines; the zero value is not usable, construct one with NewEngine.
 //
-// The memo is split into power-of-two shards selected by a fingerprint
-// prefix. Each shard carries its own mutex and an O(1) doubly-linked LRU,
-// so concurrent requests for different configurations do not serialize on
-// a single cache lock and a hit never pays a linear recency scan. The
-// shards share one entry budget (cache.NewSharded), so the memo holds as
-// many years as WithCache allows however their fingerprints hash.
+// The memo is one cache.Cache: one mutex over a map and an O(1)
+// doubly-linked LRU list, so a hit never pays a linear recency scan and
+// eviction is exact LRU over every memoized year.
 type Engine struct {
 	workers    int
 	maxEntries int
-	shards     []*cache.Cache[fingerprint.Key, *memoYear]
+	memo       *cache.Cache[fingerprint.Key, *memoYear]
 	streams    *telemetry.Registry
 
-	// Persistence tier under the in-memory shards (WithPersistence):
+	// Persistence tier under the in-memory memo (WithPersistence):
 	// memoized simulated years spill to an append-only disk log keyed by
 	// the same fingerprint, so a restarted process answers previously
 	// assessed configurations without recomputing. store is nil when
@@ -123,11 +120,8 @@ const (
 type Option func(*Engine)
 
 // WithCache bounds the total number of memoized assessments (default 64).
-// The cache shards share the bound: an insert past it evicts the
-// least-recently-touched entries of whichever shards hold them (recency
-// across shards is resolved to the nearest insert), never the entry just
-// inserted, so a shard may hold more than its even share while the total
-// stays within n. n <= 0 disables caching.
+// An insert past the bound evicts the least recently touched entries,
+// never the entry just inserted. n <= 0 disables caching.
 func WithCache(n int) Option {
 	return func(e *Engine) { e.maxEntries = n }
 }
@@ -224,21 +218,6 @@ const assessStoreSchema = 1
 // assessLogName is the record log's filename inside the persistence dir.
 const assessLogName = "assess.log"
 
-// defaultShards is the shard-count ceiling: enough to relieve contention
-// at typical serving parallelism without fragmenting small caches.
-const defaultShards = 8
-
-// shardCount resolves the effective power-of-two shard count:
-// min(8, capacity/4), at least 1, so sharding keeps at least 4 entries
-// per shard and never costs meaningful capacity at small cache sizes.
-func (e *Engine) shardCount() int {
-	n := 1
-	for n*2 <= min(defaultShards, e.maxEntries/4) {
-		n *= 2
-	}
-	return n
-}
-
 // NewEngine builds an assessment session.
 func NewEngine(opts ...Option) *Engine {
 	e := &Engine{
@@ -248,7 +227,7 @@ func NewEngine(opts ...Option) *Engine {
 	for _, o := range opts {
 		o(e)
 	}
-	e.shards = cache.NewSharded[fingerprint.Key, *memoYear](e.shardCount(), e.maxEntries)
+	e.memo = cache.New[fingerprint.Key, *memoYear](e.maxEntries)
 	if e.persistDir != "" {
 		e.disk = breaker.New(e.breakerOpts)
 		if err := os.MkdirAll(e.persistDir, 0o755); err != nil {
@@ -287,8 +266,8 @@ func (e *Engine) Close() error {
 	return e.store.Close()
 }
 
-// CacheStats reports the Engine's memoization behavior: the sharded
-// assessment memo plus the substrate layer beneath it.
+// CacheStats reports the Engine's memoization behavior: the assessment
+// memo plus the substrate layer beneath it.
 type CacheStats struct {
 	Hits    uint64 `json:"hits"`
 	Misses  uint64 `json:"misses"`
@@ -369,16 +348,11 @@ type SubstrateStats struct {
 	CrossJobMisses uint64 `json:"cross_job_misses"`
 }
 
-// CacheStats returns a snapshot of the cache counters, aggregated across
-// shards, plus the substrate-layer view.
+// CacheStats returns a snapshot of the memo counters plus the
+// substrate-layer view.
 func (e *Engine) CacheStats() CacheStats {
-	var out CacheStats
-	for _, sh := range e.shards {
-		s := sh.Stats()
-		out.Hits += s.Hits
-		out.Misses += s.Misses
-		out.Entries += s.Entries
-	}
+	m := e.memo.Stats()
+	out := CacheStats{Hits: m.Hits, Misses: m.Misses, Entries: m.Entries}
 	sub := substrate.Stats()
 	out.Substrate = SubstrateStats{
 		Hits:            sub.Hits,
@@ -569,7 +543,7 @@ func (e *Engine) annualFor(cfg Config, tag subTag) (core.Annual, bool, error) {
 // key, returning the memo entry itself, whose day checkpoints a live
 // tick resumes from.
 func (e *Engine) memoFor(key fingerprint.Key, cfg Config, tag subTag) (*memoYear, bool, error) {
-	return e.shard(key).Get(key, func() (*memoYear, error) {
+	return e.memo.Get(key, func() (*memoYear, error) {
 		if e.store != nil {
 			if a, ok := e.diskLookup(key); ok {
 				return &memoYear{Annual: a}, nil
@@ -589,11 +563,11 @@ func (e *Engine) memoFor(key fingerprint.Key, cfg Config, tag subTag) (*memoYear
 // memoYear is one memo slot. A simulated year holds its assessed year
 // and, once a live tick has priced a window over it, its day
 // checkpoints. A live slot holds only the totals of its stream's newest
-// year (core.Annual.Spliced, no hourly channel) and the stream epoch
-// they were priced at.
+// year (core.Annual.Spliced, no hourly channel) and the version they
+// were priced at: the stream instance and its epoch.
 type memoYear struct {
 	core.Annual
-	epoch uint64
+	instance, epoch uint64
 
 	foldsOnce sync.Once
 	folds     series.Checkpoints
@@ -603,11 +577,6 @@ type memoYear struct {
 func (y *memoYear) checkpoints() series.Checkpoints {
 	y.foldsOnce.Do(func() { y.folds = y.Hourly.Checkpoints() })
 	return y.folds
-}
-
-// shard is the memo shard holding key.
-func (e *Engine) shard(key fingerprint.Key) *cache.Cache[fingerprint.Key, *memoYear] {
-	return e.shards[key.Shard(len(e.shards))]
 }
 
 // --- Live telemetry ---
@@ -654,16 +623,19 @@ type LiveInfo struct {
 	Samples       uint64 `json:"samples_accepted"`
 }
 
-// liveKey names the memo slot of one stream instance assessed under one
-// configuration. The epoch is not part of it: the slot holds the pair's
-// newest live year and the entry records its epoch, so a tick replaces
-// the year it supersedes in place. The "live" tag keeps the key
-// disjoint from the pure-simulation keyspace.
+// liveKey names the memo slot of one stream label, year and window
+// assessed under one configuration. The version is not part of it: the
+// slot holds the pair's newest live year and the entry records its
+// stream instance and epoch, so a tick, or a registry replacement of the
+// stream, replaces the year it supersedes in place. The "live" tag keeps
+// the key disjoint from the pure-simulation keyspace.
 func liveKey(base fingerprint.Key, s *telemetry.Stream) fingerprint.Key {
 	h := fingerprint.New()
 	h.String("live")
 	h.Bytes(base[:])
-	s.Fingerprint(h)
+	h.String(s.System())
+	h.Int(s.Year())
+	h.Int(s.WindowHours())
 	key := h.Sum()
 	h.Release()
 	return key
@@ -677,11 +649,13 @@ func liveKey(base fingerprint.Key, s *telemetry.Stream) fingerprint.Key {
 // observed hours in place, so no timeline is built unless withSeries
 // asks for one, rebuilt from the same snapshot into the result's Hourly.
 // The totals are memoized in the pair's one live slot: a slot holding an
-// older epoch is recomputed in place, so a tick takes the slot of the
-// year it supersedes rather than the least recently used one. A result is served from the slot only when its
-// epoch is the snapshot's; a snapshot that lost a race with an ingest
-// (the slot already holds a newer year, or an older one still in flight)
-// computes its own year and leaves the slot alone.
+// older version (an earlier stream instance, or an older epoch of the
+// same one) is recomputed in place, so a tick takes the slot of the year
+// it supersedes rather than the least recently used one. A result is
+// served from the slot only when its version is the snapshot's; a
+// snapshot that lost a race with an ingest or a replacement (the slot
+// already holds a newer year, or an older one still in flight) computes
+// its own year and leaves the slot alone.
 func (e *Engine) liveAnnualFor(cfg Config, tag subTag, withSeries bool) (core.Annual, telemetry.LiveWindow, bool, error) {
 	if e.streams == nil || e.streams.Len() == 0 {
 		return core.Annual{}, telemetry.LiveWindow{}, false, fmt.Errorf("thirstyflops: live source requested but the engine has no stream (construct with WithLiveStreams)")
@@ -704,11 +678,14 @@ func (e *Engine) liveAnnualFor(cfg Config, tag subTag, withSeries bool) (core.An
 		}
 		base = b
 		f := b.checkpoints().Resume(b.Hourly, w.Lo, w.Energy, w.Observed)
-		return &memoYear{Annual: b.Spliced(f), epoch: w.Epoch}, nil
+		return &memoYear{Annual: b.Spliced(f), instance: w.Instance, epoch: w.Epoch}, nil
 	}
 	key := liveKey(baseKey, stream)
-	y, cached, err := e.shard(key).GetFresh(key, func(y *memoYear) bool { return y != nil && y.epoch >= w.Epoch }, compute)
-	if err == nil && y.epoch != w.Epoch {
+	notOlder := func(y *memoYear) bool {
+		return y != nil && (y.instance > w.Instance || y.instance == w.Instance && y.epoch >= w.Epoch)
+	}
+	y, cached, err := e.memo.GetFresh(key, notOlder, compute)
+	if err == nil && (y.instance != w.Instance || y.epoch != w.Epoch) {
 		y, err = compute()
 		cached = false
 	}

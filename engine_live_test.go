@@ -257,7 +257,7 @@ func TestEngineLiveSeriesReusesResolvedBase(t *testing.T) {
 			repeat.Cached, final.Hits-after.Hits, final.Misses-after.Misses)
 	}
 	baseKey := cfg.Fingerprint()
-	if _, ok := eng.shard(baseKey).Delete(baseKey); !ok {
+	if _, ok := eng.memo.Delete(baseKey); !ok {
 		t.Fatal("simulated year not resident")
 	}
 	evicted, err := eng.Assess(ctx, req)
@@ -576,9 +576,83 @@ func TestEngineLiveReplacedStreamNotServedStale(t *testing.T) {
 	}
 }
 
+// TestEngineLiveReplacementsKeepOneSlot replaces a stream with a
+// same-label one several times, assessing live after each: every
+// replacement takes its predecessor's live slot, so the memo keeps the
+// simulated year and one live year. A reader that resolves a replaced
+// stream again is answered from its own samples and leaves the newer
+// instance's year in the slot.
+func TestEngineLiveReplacementsKeepOneSlot(t *testing.T) {
+	const replacements = 5
+	first, err := NewStream("Frontier", 0, 24)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := NewStreamRegistry(first)
+	eng := NewEngine(WithLiveStreams(reg))
+	ctx := context.Background()
+	req := AssessRequest{System: "Frontier", Source: SourceLive}
+	cfg, err := req.resolveConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	assess := func(power units.Watts) *AssessResult {
+		t.Helper()
+		if _, err := eng.Ingest(Sample{System: "Frontier", Hour: 0, Power: power}); err != nil {
+			t.Fatal(err)
+		}
+		res, err := eng.Assess(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	assess(1e6)
+	if n := eng.CacheStats().Entries; n != 2 {
+		t.Fatalf("%d memo entries after the first live assess, want 2", n)
+	}
+	streams := []*Stream{first}
+	var last *AssessResult
+	for i := 1; i <= replacements; i++ {
+		s, err := NewStream("Frontier", 0, 24)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg.Register(s)
+		streams = append(streams, s)
+		if last = assess(units.Watts(1e6 * float64(i+1))); last.Cached {
+			t.Errorf("replacement %d served a predecessor's year", i)
+		}
+		if n := eng.CacheStats().Entries; n != 2 {
+			t.Errorf("%d memo entries after replacement %d, want 2", n, i)
+		}
+	}
+	newest := streams[replacements]
+	key := liveKey(cfg.Fingerprint(), newest)
+	slot, ok := eng.memo.Lookup(key)
+	if !ok || slot.instance != newest.Window().Instance {
+		t.Fatalf("live slot resident=%v, want the newest instance's year", ok)
+	}
+
+	reg.Register(first)
+	stale, err := eng.Assess(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stale.Cached || stale.EnergyKWh == last.EnergyKWh {
+		t.Errorf("replaced stream answered from the newest instance's year (cached=%v)", stale.Cached)
+	}
+	if y, ok := eng.memo.Lookup(key); !ok || y != slot {
+		t.Errorf("a replaced stream's reader overwrote the newest instance's slot")
+	}
+	reg.Register(newest)
+	if res, err := eng.Assess(ctx, req); err != nil || !res.Cached {
+		t.Errorf("newest instance's year not served from its slot (cached=%v, %v)", res != nil && res.Cached, err)
+	}
+}
+
 // TestLiveChurnKeepsSimulatedYearsResident ticks a live stream beside
-// simulated reads on a one-shard memo that holds exactly the working
-// set: two simulated years, the live configuration's base year and one
+// simulated reads on a memo that holds exactly the working set: two simulated years, the live configuration's base year and one
 // live year. Each tick must take the slot of the year it supersedes, so
 // no read ever misses.
 func TestLiveChurnKeepsSimulatedYearsResident(t *testing.T) {
@@ -587,9 +661,6 @@ func TestLiveChurnKeepsSimulatedYearsResident(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := NewEngine(WithCache(4), WithLiveStreams(NewStreamRegistry(stream)))
-	if len(eng.shards) != 1 {
-		t.Fatalf("%d shards, want 1", len(eng.shards))
-	}
 	ctx := context.Background()
 	live := AssessRequest{System: "Frontier", Source: SourceLive}
 	reads := []AssessRequest{{System: "Marconi"}, {System: "Polaris"}}
@@ -635,7 +706,7 @@ func TestLiveChurnKeepsSimulatedYearsResident(t *testing.T) {
 // if it is resident.
 func residentLive(eng *Engine, cfg Config, stream *Stream) (core.Annual, uint64, bool) {
 	key := liveKey(cfg.Fingerprint(), stream)
-	y, ok := eng.shard(key).Lookup(key)
+	y, ok := eng.memo.Lookup(key)
 	if !ok {
 		return core.Annual{}, 0, false
 	}
@@ -714,11 +785,10 @@ func TestLiveHeadsUnderIngestRace(t *testing.T) {
 	}
 }
 
-// TestLiveTickKeepsFullShardsResident fills every shard of an 8-shard
-// memo to capacity — the live slot, its base year and simulated Marconi
-// years chosen by shard — and ticks the stream between full read passes.
-// A tick replaces its pair's one slot in place, so no shard ever evicts
-// a simulated year.
+// TestLiveTickKeepsFullShardsResident fills a 32-entry memo to
+// capacity — the live slot, its base year and 30 simulated Marconi
+// years — and ticks the stream between full read passes. A tick replaces
+// its pair's one slot in place, so it never evicts a simulated year.
 func TestLiveTickKeepsFullShardsResident(t *testing.T) {
 	const capacity, ticks = 32, 50
 	stream, err := NewStream("", 0, 168)
@@ -726,32 +796,12 @@ func TestLiveTickKeepsFullShardsResident(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := NewEngine(WithCache(capacity), WithLiveStreams(NewStreamRegistry(stream)))
-	shards := len(eng.shards)
-	if shards != 8 {
-		t.Fatalf("%d shards, want 8", shards)
-	}
 	ctx := context.Background()
 	live := AssessRequest{System: "Frontier", Source: SourceLive}
-	cfg, err := live.resolveConfig()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fill := make([]int, shards)
-	base := cfg.Fingerprint()
-	fill[base.Shard(shards)]++
-	fill[liveKey(base, stream).Shard(shards)]++
 	var reads []AssessRequest
 	for seed := uint64(1); len(reads) < capacity-2; seed++ {
 		s := seed
-		req := AssessRequest{System: "Marconi", Seed: &s}
-		c, err := req.resolveConfig()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sh := c.Fingerprint().Shard(shards); fill[sh] < capacity/shards {
-			fill[sh]++
-			reads = append(reads, req)
-		}
+		reads = append(reads, AssessRequest{System: "Marconi", Seed: &s})
 	}
 	for _, r := range append(reads, live) {
 		if _, err := eng.Assess(ctx, r); err != nil {

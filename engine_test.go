@@ -398,8 +398,8 @@ func TestEngineWater500(t *testing.T) {
 }
 
 func TestEngineShardedCacheConcurrentEviction(t *testing.T) {
-	// Hammer a small sharded cache with more distinct configurations
-	// than it can hold from many goroutines (run with -race): the entry
+	// Hammer a small memo with more distinct configurations than it
+	// can hold from many goroutines (run with -race): the entry
 	// count must respect the bound and every result must stay correct.
 	eng := NewEngine(WithCache(16), WithWorkers(8))
 	ctx := context.Background()
@@ -446,9 +446,9 @@ func TestEngineShardedCacheConcurrentEviction(t *testing.T) {
 }
 
 func TestEngineLRUOrderingAcrossHits(t *testing.T) {
-	// Single shard, capacity 2: touching the oldest entry must protect
-	// it from the next eviction (the O(1) list must preserve exact LRU
-	// semantics, not just bounded size).
+	// Capacity 2: touching the oldest entry must protect it from the
+	// next eviction (the O(1) list must preserve exact LRU semantics,
+	// not just bounded size).
 	eng := NewEngine(WithCache(2))
 	ctx := context.Background()
 	assess := func(sys string) {
@@ -469,6 +469,41 @@ func TestEngineLRUOrderingAcrossHits(t *testing.T) {
 	assess("Fugaku") // evicted above: a fourth miss
 	if st := eng.CacheStats(); st.Misses != 4 {
 		t.Errorf("misses = %d, want 4 (Fugaku was evicted)", st.Misses)
+	}
+}
+
+// TestEngineLRUExactAcrossWholeMemo fills a 32-entry memo, touches every
+// entry in reverse order with no insert between the touches, and inserts
+// a 33rd year. Recency is exact over the whole memo, so the victim is the
+// entry touched first: seeds 0–30 stay resident and seed 31 is evicted.
+func TestEngineLRUExactAcrossWholeMemo(t *testing.T) {
+	const capacity = 32
+	eng := NewEngine(WithCache(capacity))
+	ctx := context.Background()
+	assess := func(seed uint64) bool {
+		t.Helper()
+		res, err := eng.Assess(ctx, AssessRequest{System: "Marconi", Seed: &seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Cached
+	}
+	for seed := uint64(0); seed < capacity; seed++ {
+		assess(seed)
+	}
+	for seed := uint64(capacity); seed > 0; seed-- {
+		if !assess(seed - 1) {
+			t.Fatalf("seed %d missed while the memo held every seed", seed-1)
+		}
+	}
+	assess(capacity)
+	for seed := uint64(0); seed < capacity-1; seed++ {
+		if !assess(seed) {
+			t.Errorf("seed %d evicted, want seed %d (the least recently used)", seed, capacity-1)
+		}
+	}
+	if assess(capacity - 1) {
+		t.Errorf("seed %d still resident after a 33rd year was inserted", capacity-1)
 	}
 }
 
@@ -671,8 +706,8 @@ func BenchmarkEngineAssessCached(b *testing.B) {
 }
 
 // BenchmarkEngineAssessCachedParallel measures the cached path under
-// concurrent load across distinct configurations — the contention the
-// sharded cache exists to relieve.
+// concurrent load across distinct configurations, which all take the
+// memo's one lock.
 func BenchmarkEngineAssessCachedParallel(b *testing.B) {
 	eng := NewEngine(WithCache(64))
 	ctx := context.Background()
@@ -695,50 +730,4 @@ func BenchmarkEngineAssessCachedParallel(b *testing.B) {
 			}
 		}
 	})
-}
-
-// TestSharedMemoBudgetKeepsSkewedShardResident assesses a working set
-// whose fingerprints all land in one shard of an 8-shard, 32-entry memo:
-// 8 configurations, twice the shard's even share and a quarter of the
-// budget. The shards share the budget, so the whole set stays resident
-// and the second pass is all hits.
-func TestSharedMemoBudgetKeepsSkewedShardResident(t *testing.T) {
-	const capacity, set = 32, 8
-	eng := NewEngine(WithCache(capacity))
-	shards := len(eng.shards)
-	if shards != 8 {
-		t.Fatalf("%d shards, want 8", shards)
-	}
-	var reqs []AssessRequest
-	target := -1
-	for seed := uint64(1); len(reqs) < set; seed++ {
-		s := seed
-		req := AssessRequest{System: "Marconi", Seed: &s}
-		cfg, err := req.resolveConfig()
-		if err != nil {
-			t.Fatal(err)
-		}
-		sh := cfg.Fingerprint().Shard(shards)
-		if target < 0 {
-			target = sh
-		}
-		if sh == target {
-			reqs = append(reqs, req)
-		}
-	}
-	ctx := context.Background()
-	for pass := 0; pass < 2; pass++ {
-		for i, req := range reqs {
-			res, err := eng.Assess(ctx, req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Cached != (pass == 1) {
-				t.Errorf("pass %d, configuration %d: cached=%v", pass, i, res.Cached)
-			}
-		}
-	}
-	if st := eng.CacheStats(); st.Entries != set || st.Misses != set || st.Hits != set {
-		t.Errorf("stats = %+v, want %d entries, misses and hits", st, set)
-	}
 }

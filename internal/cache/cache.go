@@ -1,11 +1,8 @@
 // Package cache provides the memoization primitive shared by the Engine's
-// sharded assessment cache and the substrate layer: a mutex-guarded map
-// with an intrusive doubly-linked LRU list (O(1) touch, no scan over
-// entries) and singleflight semantics — concurrent first requests
-// for a key collapse into a single computation via a per-entry sync.Once.
-// Several caches may share one entry bound (NewSharded), so a sharded memo
-// holds as many entries as its bound however its keys hash, and evicts
-// its least recently used entries whichever shard holds them.
+// assessment memo and the substrate layer: a mutex-guarded map with an
+// intrusive doubly-linked LRU list (O(1) touch and eviction, no linear
+// scans) and singleflight semantics — concurrent first requests for a
+// key collapse into a single computation via a per-entry sync.Once.
 package cache
 
 import (
@@ -19,87 +16,27 @@ import (
 var errComputePanicked = errors.New("cache: computation panicked")
 
 // entry is one memoized value threaded on the LRU list. The zero list
-// position is maintained by Cache; prev/next and stamp are protected by
-// Cache.mu. val/err are written exactly once — by Get's singleflight
-// computation (outside the cache lock) or by Add before the entry is
-// shared — and the done flag publishes them: a reader that did not
-// itself run the computation may touch val/err only after observing
-// done, which is the ordering that lets Lookup, Delete, and Add's
-// eviction report coexist with an in-flight Get on the same entry
-// without a data race.
+// position is maintained by Cache; prev/next are protected by Cache.mu.
+// val/err are written exactly once — by Get's singleflight computation
+// (outside the cache lock) or by Add before the entry is shared — and
+// the done flag publishes them: a reader that did not itself run the
+// computation may touch val/err only after observing done, which is the
+// ordering that lets Lookup, Delete, and Add's eviction report coexist
+// with an in-flight Get on the same entry without a data race.
 type entry[K comparable, V any] struct {
 	key        K
 	once       sync.Once
 	done       atomic.Bool
 	val        V
 	err        error
-	stamp      uint64 // the budget's clock when the entry was last touched
 	prev, next *entry[K, V]
 }
 
-// budget is an entry bound shared by the caches NewSharded builds on it.
-// An insert that takes the caches' combined entry count past the bound
-// evicts the least recently used entries across all of them, never the
-// entry just inserted, so one cache may hold most of the bound while
-// another holds little, and a cold entry ages out even if its own cache
-// never inserts again. Recency across caches is a clock that
-// advances on each insert and stamps every entry touched: the victim is
-// the oldest entry of the cache whose oldest entry has the oldest stamp.
-// Touches between two inserts share a stamp, so recency is exact within
-// a cache and resolved to the nearest insert across caches.
-type budget[K comparable, V any] struct {
-	max     int
-	entries atomic.Int64
-	clock   atomic.Uint64
-
-	mu     sync.Mutex // serializes evictions
-	caches []*Cache[K, V]
-}
-
-// evict removes the least recently used entries across b's caches while
-// their count exceeds the bound, sparing keep. Published evicted values
-// are appended to out when it is non-nil. The caller holds no cache
-// lock: b.mu is taken before any cache's, and one cache's at a time.
-func (b *budget[K, V]) evict(keep *entry[K, V], out *[]Evicted[K, V]) {
-	if b.entries.Load() <= int64(b.max) {
-		return
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for b.entries.Load() > int64(b.max) {
-		var (
-			victim *Cache[K, V]
-			oldest *entry[K, V]
-			stamp  uint64
-		)
-		for _, c := range b.caches {
-			c.mu.Lock()
-			if e := c.oldest(keep); e != nil && (oldest == nil || e.stamp < stamp) {
-				victim, oldest, stamp = c, e, e.stamp
-			}
-			c.mu.Unlock()
-		}
-		if victim == nil {
-			return
-		}
-		victim.mu.Lock()
-		// A touch between the scan and here moved the victim off the
-		// tail: rescan rather than evict a recently used entry.
-		if e := victim.oldest(keep); e == oldest && e.stamp == stamp {
-			victim.remove(e)
-			if out != nil && e.done.Load() {
-				*out = append(*out, Evicted[K, V]{Key: e.key, Val: e.val})
-			}
-		}
-		victim.mu.Unlock()
-	}
-}
-
 // Cache is a bounded LRU memo. The zero value is not usable; construct
-// with New or NewSharded. All methods are safe for concurrent use.
+// with New. All methods are safe for concurrent use.
 type Cache[K comparable, V any] struct {
 	mu      sync.Mutex
-	budget  *budget[K, V]
+	max     int
 	entries map[K]*entry[K, V]
 	// head/tail sentinels, held inline so a cache costs no allocation
 	// for them: head.next is most recent, tail.prev is the eviction
@@ -112,25 +49,10 @@ type Cache[K comparable, V any] struct {
 // New builds a cache holding at most max entries. max <= 0 disables
 // memoization: Get always recomputes.
 func New[K comparable, V any](max int) *Cache[K, V] {
-	return NewSharded[K, V](1, max)[0]
-}
-
-// NewSharded builds n caches sharing one bound of max entries, so they
-// hold max entries in all however their keys spread over them. max <= 0
-// disables memoization in all of them. The caller must not modify the
-// returned slice.
-func NewSharded[K comparable, V any](n, max int) []*Cache[K, V] {
-	b := &budget[K, V]{max: max, caches: make([]*Cache[K, V], n)}
-	for i := range b.caches {
-		c := &Cache[K, V]{
-			budget:  b,
-			entries: make(map[K]*entry[K, V]),
-		}
-		c.head.next = &c.tail
-		c.tail.prev = &c.head
-		b.caches[i] = c
-	}
-	return b.caches
+	c := &Cache[K, V]{max: max, entries: make(map[K]*entry[K, V])}
+	c.head.next = &c.tail
+	c.tail.prev = &c.head
+	return c
 }
 
 // unlink removes e from the LRU list.
@@ -139,23 +61,10 @@ func (c *Cache[K, V]) unlink(e *entry[K, V]) {
 	e.next.prev = e.prev
 }
 
-// remove drops a resident entry from the list, the map and the budget.
+// remove drops a resident entry from the list and the map.
 func (c *Cache[K, V]) remove(e *entry[K, V]) {
 	c.unlink(e)
 	delete(c.entries, e.key)
-	c.budget.entries.Add(-1)
-}
-
-// oldest is the least recently used entry other than keep, or nil.
-func (c *Cache[K, V]) oldest(keep *entry[K, V]) *entry[K, V] {
-	e := c.tail.prev
-	if e == keep {
-		e = e.prev
-	}
-	if e == &c.head {
-		return nil
-	}
-	return e
 }
 
 // pushFront inserts e as the most recently used entry.
@@ -169,16 +78,23 @@ func (c *Cache[K, V]) pushFront(e *entry[K, V]) {
 // touch moves a resident entry to the front of the list.
 func (c *Cache[K, V]) touch(e *entry[K, V]) {
 	c.unlink(e)
-	e.stamp = c.budget.clock.Load()
 	c.pushFront(e)
 }
 
-// insert threads a new entry at the front of the list and advances the
-// budget's clock, so the entry is newer than any touched before it.
-func (c *Cache[K, V]) insert(e *entry[K, V]) {
+// insert threads e at the front of the list under its key, then evicts
+// least recently used entries while the cache holds more than max. The
+// front entry is never evicted, so e survives its own insert. Published
+// evicted values are appended to out when it is non-nil.
+func (c *Cache[K, V]) insert(e *entry[K, V], out *[]Evicted[K, V]) {
 	c.entries[e.key] = e
-	e.stamp = c.budget.clock.Add(1)
 	c.pushFront(e)
+	for len(c.entries) > c.max {
+		oldest := c.tail.prev
+		c.remove(oldest)
+		if out != nil && oldest.done.Load() {
+			*out = append(*out, Evicted[K, V]{Key: oldest.key, Val: oldest.val})
+		}
+	}
 }
 
 // Get returns the memoized value for key, computing it at most once per
@@ -204,7 +120,7 @@ func (c *Cache[K, V]) Get(key K, compute func() (V, error)) (V, bool, error) {
 // runs under the cache lock, so it must be cheap and must not call
 // back into the cache; it sees only values whose computation succeeded.
 func (c *Cache[K, V]) GetFresh(key K, fresh func(V) bool, compute func() (V, error)) (V, bool, error) {
-	if c.budget.max <= 0 {
+	if c.max <= 0 {
 		v, err := compute()
 		return v, false, err
 	}
@@ -212,8 +128,7 @@ func (c *Cache[K, V]) GetFresh(key K, fresh func(V) bool, compute func() (V, err
 	e, cached := c.entries[key]
 	// fresh judges published values only: a failed computation's entry
 	// (zero value, settled error, removal pending) is shared like a hit.
-	replaced := cached && fresh != nil && e.done.Load() && e.err == nil && !fresh(e.val)
-	if replaced {
+	if cached && fresh != nil && e.done.Load() && e.err == nil && !fresh(e.val) {
 		c.unlink(e)
 		cached = false
 	}
@@ -222,16 +137,10 @@ func (c *Cache[K, V]) GetFresh(key K, fresh func(V) bool, compute func() (V, err
 		c.touch(e)
 	} else {
 		c.misses++
-		if !replaced {
-			c.budget.entries.Add(1)
-		}
 		e = &entry[K, V]{key: key}
-		c.insert(e)
+		c.insert(e, nil)
 	}
 	c.mu.Unlock()
-	if !cached && !replaced {
-		c.budget.evict(e, nil)
-	}
 	e.once.Do(func() {
 		defer func() {
 			if e.done.Load() {
@@ -278,8 +187,7 @@ type Evicted[K comparable, V any] struct {
 }
 
 // Add inserts an already-computed value, touching it most-recent, and
-// returns the entries evicted by the capacity bound (oldest first, from
-// whichever cache sharing the budget held them).
+// returns the entries evicted by the capacity bound (oldest first).
 // Together with Lookup and Delete it is the cache's table mode — same
 // LRU machinery, no singleflight — used where values are produced
 // externally (job retention) rather than memoized on demand. Adding an
@@ -293,7 +201,7 @@ type Evicted[K comparable, V any] struct {
 // yet, and only the computing goroutine ever sees it. max <= 0 stores
 // nothing.
 func (c *Cache[K, V]) Add(key K, v V) []Evicted[K, V] {
-	if c.budget.max <= 0 {
+	if c.max <= 0 {
 		return []Evicted[K, V]{{Key: key, Val: v}}
 	}
 	// The value is published before the entry is shared, so no reader
@@ -302,18 +210,15 @@ func (c *Cache[K, V]) Add(key K, v V) []Evicted[K, V] {
 	e.once.Do(func() {}) // a later Get on this entry never recomputes
 	e.done.Store(true)
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	var out []Evicted[K, V]
 	if old, ok := c.entries[key]; ok {
 		c.unlink(old)
 		if old.done.Load() {
 			out = append(out, Evicted[K, V]{Key: old.key, Val: old.val})
 		}
-	} else {
-		c.budget.entries.Add(1)
 	}
-	c.insert(e)
-	c.mu.Unlock()
-	c.budget.evict(e, &out)
+	c.insert(e, &out)
 	return out
 }
 

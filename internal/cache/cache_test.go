@@ -3,7 +3,6 @@ package cache
 import (
 	"errors"
 	"fmt"
-	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -456,78 +455,6 @@ func TestGetFreshConcurrentSameEpoch(t *testing.T) {
 	}
 }
 
-// TestSharedBudgetKeepsSkewedSetResident spreads a working set unevenly
-// over four caches sharing an 8-entry budget: one holds 5 keys, more
-// than its even share of 2, and the set totals 7. A shared budget keeps
-// the whole set resident, so a second pass over it is all hits.
-func TestSharedBudgetKeepsSkewedSetResident(t *testing.T) {
-	shards := NewSharded[int, int](4, 8)
-	b := shards[0].budget
-	keys := [][]int{{0, 1, 2, 3, 4}, {5}, {6}, nil}
-	computes := 0
-	for pass := 0; pass < 2; pass++ {
-		for s, ks := range keys {
-			for _, k := range ks {
-				v, cached, err := shards[s].Get(k, func() (int, error) { computes++; return k, nil })
-				if err != nil || v != k || cached != (pass == 1) {
-					t.Fatalf("pass %d: Get(%d) on shard %d = (%d, cached=%v, %v)", pass, k, s, v, cached, err)
-				}
-			}
-		}
-	}
-	if computes != 7 || b.entries.Load() != 7 || shards[0].Stats().Entries != 5 {
-		t.Errorf("%d computes, %d entries (%d in the skewed shard), want 7, 7, 5", computes, b.entries.Load(), shards[0].Stats().Entries)
-	}
-}
-
-// TestSharedBudgetFollowsMovingWorkingSet fills an 8-entry budget from
-// one cache, then moves the working set to 6 keys of another. The
-// inserts evict the first cache's least recent entries, not the second
-// cache's new ones, so the moved set stays resident: its second pass is
-// all hits and the first cache keeps only its 2 most recent keys.
-func TestSharedBudgetFollowsMovingWorkingSet(t *testing.T) {
-	shards := NewSharded[int, int](2, 8)
-	old, moved, b := shards[0], shards[1], shards[0].budget
-	for k := 0; k < 8; k++ {
-		old.Get(k, func() (int, error) { return k, nil })
-	}
-	for pass := 0; pass < 2; pass++ {
-		for k := 100; k < 106; k++ {
-			if _, cached, err := moved.Get(k, func() (int, error) { return k, nil }); err != nil || cached != (pass == 1) {
-				t.Fatalf("pass %d: Get(%d) cached=%v err=%v", pass, k, cached, err)
-			}
-		}
-	}
-	if got := old.Keys(); !reflect.DeepEqual(got, []int{7, 6}) || b.entries.Load() != 8 {
-		t.Errorf("old working set keeps %v with %d entries in all, want [7 6] and 8", got, b.entries.Load())
-	}
-}
-
-// TestSharedBudgetEvictsOldestAcrossCaches fills a 2-entry budget from
-// one cache and inserts into an empty one: the full cache's least recent
-// entry goes, and Add reports it to its caller although another cache
-// held it. The entry just inserted stays even when it is the only
-// candidate in its own cache.
-func TestSharedBudgetEvictsOldestAcrossCaches(t *testing.T) {
-	shards := NewSharded[int, int](2, 2)
-	full, empty, b := shards[0], shards[1], shards[0].budget
-	for k := 0; k < 2; k++ {
-		full.Add(k, k)
-	}
-	if ev := empty.Add(9, 9); !reflect.DeepEqual(ev, []Evicted[int, int]{{Key: 0, Val: 0}}) {
-		t.Errorf("insert into the empty cache evicted %v, want key 0 of the full one", ev)
-	}
-	if _, ok := empty.Lookup(9); !ok || b.entries.Load() != 2 || !reflect.DeepEqual(full.Keys(), []int{1}) {
-		t.Fatalf("new entry resident=%v with %d entries, full cache keeps %v; want resident, 2, [1]", ok, b.entries.Load(), full.Keys())
-	}
-	if _, _, err := full.Get(2, func() (int, error) { return 2, nil }); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(full.Keys(), []int{2}) || !reflect.DeepEqual(empty.Keys(), []int{9}) {
-		t.Errorf("caches keep %v and %v, want [2] and [9]", full.Keys(), empty.Keys())
-	}
-}
-
 // TestGetFreshSkipsFailedEntry puts a cache in the state a failing
 // computation leaves for a moment — published with a nil value and an
 // error, not yet removed — and looks the key up with a predicate that
@@ -540,8 +467,7 @@ func TestGetFreshSkipsFailedEntry(t *testing.T) {
 	e.once.Do(func() {})
 	e.done.Store(true)
 	c.mu.Lock()
-	c.budget.entries.Add(1)
-	c.insert(e)
+	c.insert(e, nil)
 	c.mu.Unlock()
 	deref := func(p *int) bool { return *p > 0 }
 	if v, cached, err := c.GetFresh(1, deref, func() (*int, error) { return new(int), nil }); v != nil || !cached || err != errBoom {
@@ -552,8 +478,8 @@ func TestGetFreshSkipsFailedEntry(t *testing.T) {
 		t.Fatalf("retry = (%v, cached=%v, %v), want a fresh computation", v, cached, err)
 	}
 	unused := func() (*int, error) { t.Error("a fresh hit recomputed"); return nil, nil }
-	if v, cached, err := c.GetFresh(1, deref, unused); v != &one || !cached || err != nil || c.budget.entries.Load() != 1 {
-		t.Errorf("repeat = (%v, cached=%v, %v) with %d entries, want a hit on 1 entry", v, cached, err, c.budget.entries.Load())
+	if v, cached, err := c.GetFresh(1, deref, unused); v != &one || !cached || err != nil || c.Stats().Entries != 1 {
+		t.Errorf("repeat = (%v, cached=%v, %v) with %d entries, want a hit on 1 entry", v, cached, err, c.Stats().Entries)
 	}
 }
 
@@ -589,20 +515,19 @@ func TestGetFreshFailingComputeRace(t *testing.T) {
 	if _, _, err := c.GetFresh(2, deref, func() (*int, error) { return &one, nil }); err != nil {
 		t.Fatal(err)
 	}
-	if s := c.Stats(); s.Entries != int(c.budget.entries.Load()) {
-		t.Errorf("%d entries, count %d", s.Entries, c.budget.entries.Load())
+	if s, n := c.Stats(), listLen(t, c); s.Entries != n {
+		t.Errorf("%d entries, %d on the LRU list", s.Entries, n)
 	}
 }
 
-// TestSharedBudgetCountUnderRace hammers four caches sharing a budget
-// with every path that inserts or removes an entry — Get, GetFresh
-// replacement, failing and panicking computes, Add and Delete — from
-// many goroutines (run with -race). Once quiet, the shared count is the
-// sum of the caches' entries.
+// TestSharedBudgetCountUnderRace hammers one cache with every path that
+// inserts or removes an entry — Get, GetFresh replacement, failing and
+// panicking computes, Add and Delete — from many goroutines (run with
+// -race). Once quiet, the map and the LRU list hold the same entries and
+// the bound holds.
 func TestSharedBudgetCountUnderRace(t *testing.T) {
 	const max = 16
-	shards := NewSharded[int, int](4, max)
-	b := shards[0].budget
+	c := New[int, int](max)
 	errBoom := fmt.Errorf("boom")
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -611,7 +536,6 @@ func TestSharedBudgetCountUnderRace(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 400; i++ {
 				k := (w*7 + i) % 40
-				c := shards[k%len(shards)]
 				switch i % 6 {
 				case 0:
 					c.Get(k, func() (int, error) { return k, nil })
@@ -633,14 +557,28 @@ func TestSharedBudgetCountUnderRace(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	sum := 0
-	for _, c := range shards {
-		sum += c.Stats().Entries
+	n := listLen(t, c)
+	if s := c.Stats(); s.Entries != n {
+		t.Errorf("%d entries in the map, %d on the LRU list", s.Entries, n)
 	}
-	if n := b.entries.Load(); n != int64(sum) {
-		t.Errorf("shared count %d, caches hold %d entries", n, sum)
+	if n > max {
+		t.Errorf("%d entries, bound %d", n, max)
 	}
-	if sum > max {
-		t.Errorf("%d entries, budget %d", sum, max)
+}
+
+// listLen walks c's LRU list front to back, failing t on any entry the
+// map does not hold under its key or whose back link is broken, and
+// returns the list's length.
+func listLen[V any](t *testing.T, c *Cache[int, V]) int {
+	t.Helper()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := 0
+	for e := c.head.next; e != &c.tail; e = e.next {
+		if c.entries[e.key] != e || e.next.prev != e {
+			t.Fatalf("list entry %v is not the map's entry for its key or is mislinked", e.key)
+		}
+		n++
 	}
+	return n
 }

@@ -24,13 +24,6 @@ import (
 // and therefore usable as a map key without further encoding.
 type Key [sha256.Size]byte
 
-// Shard returns a small deterministic shard index in [0, n) derived from
-// the key. n must be a power of two. Folding a full 64-bit prefix (not a
-// single byte) keeps every shard reachable for any practical n.
-func (k Key) Shard(n int) int {
-	return int(binary.LittleEndian.Uint64(k[:8]) & uint64(n-1))
-}
-
 // Compare orders keys lexicographically, returning -1, 0, or +1. The
 // order carries no semantic meaning — it exists so key sequences can be
 // sorted deterministically (the sweep planner clusters requests whose

@@ -50,40 +50,6 @@ func TestFloatBitPatterns(t *testing.T) {
 	}
 }
 
-func TestShardInRange(t *testing.T) {
-	for _, n := range []int{1, 2, 8, 64, 512} {
-		k := sumOf(func(h *Hasher) { h.Uint64(uint64(n)) })
-		if s := k.Shard(n); s < 0 || s >= n {
-			t.Errorf("Shard(%d) = %d out of range", n, s)
-		}
-	}
-}
-
-func TestShardReachesEveryIndexBeyondOneByte(t *testing.T) {
-	// With shard counts above 256 the fold must still reach indices a
-	// single key byte never could.
-	const n = 512
-	seen := make(map[int]bool)
-	for i := 0; i < 8192; i++ {
-		i := i
-		k := sumOf(func(h *Hasher) { h.Int(i) })
-		seen[k.Shard(n)] = true
-	}
-	if len(seen) < n*9/10 {
-		t.Errorf("8192 keys covered only %d of %d shards", len(seen), n)
-	}
-	high := false
-	for s := range seen {
-		if s >= 256 {
-			high = true
-			break
-		}
-	}
-	if !high {
-		t.Error("no shard index above 255 was ever produced")
-	}
-}
-
 func TestPoolReuseStartsClean(t *testing.T) {
 	h := New()
 	h.String("leftover state")

@@ -1,4 +1,4 @@
-// Package store is the disk persistence tier under the Engine's sharded
+// Package store is the disk persistence tier under the Engine's
 // assessment cache and the daemon's job queue: a keyed append-only record
 // log with CRC-framed records, an in-memory offset index (values live on
 // disk, not in RAM), a bounded asynchronous writer so appends never block

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"thirstyflops/internal/fingerprint"
 	"thirstyflops/internal/series"
 	"thirstyflops/internal/stats"
 	"thirstyflops/internal/units"
@@ -52,14 +51,15 @@ type slot struct {
 // sub-hourly feeds average — and Window materializes the retained hours
 // as an incrementally-maintained view without rescanning sample history.
 //
-// Every accepted sample advances a monotonic epoch. Consumers that cache
-// anything derived from the stream (the Engine's live assessments) key
-// their cache on the stream instance (Fingerprint) and store the epoch
-// of the snapshot beside the cached value, serving it only at that
-// epoch, so a cached result can never outlive the observations it was
-// computed from; because the epoch only grows, a value at an older
-// epoch can be replaced in place (the Engine keeps one live slot per
-// stream and configuration).
+// Every accepted sample advances a monotonic epoch, and every instance
+// has a process-unique id that grows with each NewStream. Consumers that
+// cache anything derived from the stream (the Engine's live assessments)
+// store the instance and epoch of the snapshot beside the cached value,
+// serving it only at that version, so a cached result can never outlive
+// the observations it was computed from; because both only grow, a value
+// at an older version — including one priced from a stream that a
+// registry replacement superseded — can be replaced in place (the Engine
+// keeps one live slot per stream label and configuration).
 //
 // A Stream is safe for use from multiple goroutines; construct one with
 // NewStream.
@@ -95,9 +95,9 @@ func NewStream(system string, year int, windowHours int) (*Stream, error) {
 	return s, nil
 }
 
-// streamIDs numbers Stream instances, so two streams with the same
-// label, year and window — a registry replacement restarting at epoch
-// 0 — never share a cache identity.
+// streamIDs numbers Stream instances in creation order, so a registry
+// replacement restarting at epoch 0 is still newer than its
+// predecessor.
 var streamIDs atomic.Uint64
 
 // System is the stream's system label ("" accepts any system).
@@ -164,9 +164,10 @@ func (s *Stream) Epoch() uint64 {
 // with no samples have Observed false and a zero energy; splicing keeps
 // the simulated value for them.
 type LiveWindow struct {
-	System string
-	Year   int
-	Epoch  uint64
+	System   string
+	Year     int
+	Instance uint64 // the stream's instance id; a replacement's is larger
+	Epoch    uint64
 
 	Lo, Hi   int // retained absolute hour range [Lo, Hi)
 	Energy   []units.KWh
@@ -183,11 +184,12 @@ func (s *Stream) Window() LiveWindow {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	w := LiveWindow{
-		System:  s.system,
-		Year:    s.year,
-		Epoch:   s.epoch,
-		Samples: s.accepted,
-		Hi:      s.head,
+		System:   s.system,
+		Year:     s.year,
+		Instance: s.id,
+		Epoch:    s.epoch,
+		Samples:  s.accepted,
+		Hi:       s.head,
 	}
 	w.Lo = s.head - s.window
 	if w.Lo < 0 {
@@ -250,18 +252,6 @@ func (s *Stream) Series(pue units.PUE, wue, ewf []units.LPerKWh,
 		return series.Series{}, fmt.Errorf("telemetry: %s: %w", s.system, err)
 	}
 	return out, nil
-}
-
-// Fingerprint writes the stream's identity (not its contents) to a cache
-// key: it names one stream instance, and the epoch of a Window snapshot
-// then names one observed state of it. The identity includes the instance
-// id, so it is valid for the life of the process only — never persist a
-// key derived from it.
-func (s *Stream) Fingerprint(h *fingerprint.Hasher) {
-	h.Uint64(s.id)
-	h.String(s.system)
-	h.Int(s.year)
-	h.Int(s.window)
 }
 
 // Status is the /livez view of a stream: how much of the window has

@@ -1,13 +1,11 @@
 package telemetry
 
 import (
-	"fmt"
 	"math"
 	"strings"
 	"sync"
 	"testing"
 
-	"thirstyflops/internal/fingerprint"
 	"thirstyflops/internal/series"
 	"thirstyflops/internal/stats"
 	"thirstyflops/internal/units"
@@ -379,22 +377,18 @@ func TestNewStreamValidation(t *testing.T) {
 	}
 }
 
-func TestStreamFingerprintIdentity(t *testing.T) {
+func TestStreamInstanceIdentity(t *testing.T) {
 	a := mustStream(t, "A", 2023, 24)
 	b := mustStream(t, "B", 2023, 24)
-	c := mustStream(t, "A", 2024, 24)
-	d := mustStream(t, "A", 2023, 48)
 	// A same-label instance (a registry replacement) restarts at epoch
-	// 0, so it must not share its predecessor's identity.
+	// 0, so its snapshots must carry a newer instance than its
+	// predecessor's for a cache to tell them apart.
 	e := mustStream(t, "A", 2023, 24)
-	keys := map[string]bool{}
-	for _, s := range []*Stream{a, b, c, d, e} {
-		h := fingerprint.New()
-		s.Fingerprint(h)
-		keys[fmt.Sprintf("%x", h.Sum())] = true
-		h.Release()
+	wa, wb, we := a.Window(), b.Window(), e.Window()
+	if !(wa.Instance < wb.Instance && wb.Instance < we.Instance) {
+		t.Errorf("instances %d, %d, %d do not grow with creation order", wa.Instance, wb.Instance, we.Instance)
 	}
-	if len(keys) != 5 {
-		t.Errorf("stream identities collide: %d distinct keys, want 5", len(keys))
+	if wa.Epoch != we.Epoch {
+		t.Errorf("fresh streams at epochs %d and %d, want both 0", wa.Epoch, we.Epoch)
 	}
 }
