@@ -129,10 +129,7 @@ func run(args []string, out io.Writer) error {
 			CarbonKg:          a.Carbon.Kilograms(),
 			WaterIntensity:    float64(wi),
 			AdjustedIntensity: float64(adj),
-			EmbodiedShares:    map[string]float64{},
-		}
-		for _, c := range embodied.Components() {
-			rep.EmbodiedShares[c.String()] = bd.Share(c)
+			EmbodiedShares:    bd.Shares(),
 		}
 		enc := json.NewEncoder(out)
 		enc.SetIndent("", "  ")

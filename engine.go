@@ -492,7 +492,7 @@ func (e *Engine) diskAppend(key fingerprint.Key, a core.Annual) {
 // simulate runs the (hooked) hourly simulation for cfg — the single
 // funnel every memo/disk miss falls through, so the assess-path fault
 // hook sees exactly the computations that really happen.
-func (e *Engine) simulate(cfg Config, tag subTag) (core.Annual, error) {
+func (e *Engine) simulate(cfg *Config, tag subTag) (core.Annual, error) {
 	if e.assessHook != nil {
 		if err := e.assessHook(cfg.System.Name); err != nil {
 			return core.Annual{}, err
@@ -523,38 +523,36 @@ func (e *Engine) noteSubstrate(tag subTag, tr core.SubstrateTrace) {
 
 // annualFor returns the memoized assessment of cfg, simulating at most
 // once per fingerprint. The second return reports whether the result was
-// served from cache. The fingerprint (core.Config.Fingerprint) streams a
-// canonical binary encoding through a pooled hasher, so the cached path
-// allocates nothing for key derivation. tag classifies the substrate
+// served from cache. The memo key is the one cfg was resolved with
+// (resolveConfig), so a hit derives nothing. tag classifies the substrate
 // lookups a cache miss performs for the planner-effectiveness split in
 // CacheStats; a hit touches no substrate at all.
 // A memo miss consults the persistence log (when attached) before
 // simulating, and writes a fresh simulation through to it; an in-memory
 // hit touches neither disk nor substrate.
-func (e *Engine) annualFor(cfg Config, tag subTag) (core.Annual, bool, error) {
-	y, cached, err := e.memoFor(cfg.Fingerprint(), cfg, tag)
+func (e *Engine) annualFor(cfg *resolved, tag subTag) (core.Annual, bool, error) {
+	y, cached, err := e.memoFor(cfg, tag)
 	if err != nil {
 		return core.Annual{}, cached, err
 	}
 	return y.Annual, cached, nil
 }
 
-// memoFor is annualFor for a configuration already fingerprinted as
-// key, returning the memo entry itself, whose day checkpoints a live
-// tick resumes from.
-func (e *Engine) memoFor(key fingerprint.Key, cfg Config, tag subTag) (*memoYear, bool, error) {
-	return e.memo.Get(key, func() (*memoYear, error) {
+// memoFor is annualFor returning the memo entry itself, whose day
+// checkpoints a live tick resumes from.
+func (e *Engine) memoFor(cfg *resolved, tag subTag) (*memoYear, bool, error) {
+	return e.memo.Get(cfg.key, func() (*memoYear, error) {
 		if e.store != nil {
-			if a, ok := e.diskLookup(key); ok {
+			if a, ok := e.diskLookup(cfg.key); ok {
 				return &memoYear{Annual: a}, nil
 			}
 		}
-		a, err := e.simulate(cfg, tag)
+		a, err := e.simulate(&cfg.Config, tag)
 		if err != nil {
 			return nil, err
 		}
 		if e.store != nil {
-			e.diskAppend(key, a)
+			e.diskAppend(cfg.key, a)
 		}
 		return &memoYear{Annual: a}, nil
 	})
@@ -655,8 +653,9 @@ func liveKey(base fingerprint.Key, s *telemetry.Stream) fingerprint.Key {
 // served from the slot only when its version is the snapshot's; a
 // snapshot that lost a race with an ingest or a replacement (the slot
 // already holds a newer year, or an older one still in flight) computes
-// its own year and leaves the slot alone.
-func (e *Engine) liveAnnualFor(cfg Config, tag subTag, withSeries bool) (core.Annual, telemetry.LiveWindow, bool, error) {
+// its own year and leaves the slot alone, and counts its slot lookup as
+// a miss.
+func (e *Engine) liveAnnualFor(cfg *resolved, tag subTag, withSeries bool) (core.Annual, telemetry.LiveWindow, bool, error) {
 	if e.streams == nil || e.streams.Len() == 0 {
 		return core.Annual{}, telemetry.LiveWindow{}, false, fmt.Errorf("thirstyflops: live source requested but the engine has no stream (construct with WithLiveStreams)")
 	}
@@ -669,10 +668,9 @@ func (e *Engine) liveAnnualFor(cfg Config, tag subTag, withSeries bool) (core.An
 		return core.Annual{}, telemetry.LiveWindow{}, false, fmt.Errorf("thirstyflops: live stream observes year %d, request assesses %d", yr, cfg.Year)
 	}
 	w := stream.Window()
-	baseKey := cfg.Fingerprint()
 	var base *memoYear // the simulated year, once this call has resolved it
 	compute := func() (*memoYear, error) {
-		b, _, err := e.memoFor(baseKey, cfg, tag)
+		b, _, err := e.memoFor(cfg, tag)
 		if err != nil {
 			return nil, err
 		}
@@ -680,12 +678,15 @@ func (e *Engine) liveAnnualFor(cfg Config, tag subTag, withSeries bool) (core.An
 		f := b.checkpoints().Resume(b.Hourly, w.Lo, w.Energy, w.Observed)
 		return &memoYear{Annual: b.Spliced(f), instance: w.Instance, epoch: w.Epoch}, nil
 	}
-	key := liveKey(baseKey, stream)
+	key := liveKey(cfg.key, stream)
 	notOlder := func(y *memoYear) bool {
 		return y != nil && (y.instance > w.Instance || y.instance == w.Instance && y.epoch >= w.Epoch)
 	}
 	y, cached, err := e.memo.GetFresh(key, notOlder, compute)
 	if err == nil && (y.instance != w.Instance || y.epoch != w.Epoch) {
+		if cached {
+			e.memo.Unhit()
+		}
 		y, err = compute()
 		cached = false
 	}
@@ -693,7 +694,7 @@ func (e *Engine) liveAnnualFor(cfg Config, tag subTag, withSeries bool) (core.An
 		// The totals came from the slot: the timeline needs the simulated
 		// year, and if it has to be recomputed the result is not cached.
 		var baseCached bool
-		base, baseCached, err = e.memoFor(baseKey, cfg, tag)
+		base, baseCached, err = e.memoFor(cfg, tag)
 		cached = cached && baseCached
 	}
 	if err != nil {
@@ -754,34 +755,57 @@ type AssessRequest struct {
 // is unset.
 const DefaultLifetimeYears = 6
 
-// resolveConfig materializes the request's configuration.
-func (r AssessRequest) resolveConfig() (Config, error) {
-	var cfg Config
+// resolved is a request's configuration together with its memo key
+// (equal to Config.Fingerprint) and its embodied breakdown, derived once
+// and passed by pointer along the assess path.
+type resolved struct {
+	Config
+	key   fingerprint.Key
+	bd    embodied.Breakdown
+	bdErr error
+}
+
+// resolveConfig materializes the request's configuration into cfg. A
+// bundled system copies its core.Template, whose key resumes a saved
+// hash state with only Seed and Year and whose breakdown is read, not
+// recomputed; a custom document is built, fingerprinted and broken down
+// in full.
+func (r AssessRequest) resolveConfig(cfg *resolved) error {
 	switch {
 	case r.System != "" && r.Custom != nil:
-		return Config{}, fmt.Errorf("thirstyflops: request names both a bundled system and a custom document")
+		return fmt.Errorf("thirstyflops: request names both a bundled system and a custom document")
 	case r.System != "":
-		c, err := core.ConfigFor(r.System)
+		t, err := core.TemplateFor(r.System)
 		if err != nil {
-			return Config{}, err
+			return err
 		}
-		cfg = c
+		cfg.Config = t.Config()
+		r.override(&cfg.Config)
+		cfg.key = t.Key(cfg.Seed, cfg.Year)
+		cfg.bd, cfg.bdErr = t.Breakdown()
 	case r.Custom != nil:
 		c, err := configio.Build(*r.Custom)
 		if err != nil {
-			return Config{}, err
+			return err
 		}
-		cfg = c
+		cfg.Config = c
+		r.override(&cfg.Config)
+		cfg.key = cfg.Fingerprint()
+		cfg.bd, cfg.bdErr = cfg.EmbodiedBreakdown()
 	default:
-		return Config{}, fmt.Errorf("thirstyflops: request selects no system (set system or custom)")
+		return fmt.Errorf("thirstyflops: request selects no system (set system or custom)")
 	}
+	return nil
+}
+
+// override applies the request's Seed and Year to cfg.
+func (r AssessRequest) override(cfg *Config) {
 	if r.Seed != nil {
 		cfg.Seed = *r.Seed
 	}
 	if r.Year != nil {
 		cfg.Year = *r.Year
 	}
-	return cfg, nil
 }
 
 // AssessResult is the JSON-serializable outcome of one assessment. It
@@ -839,18 +863,18 @@ func (e *Engine) Assess(ctx context.Context, req AssessRequest) (*AssessResult, 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	cfg, err := req.resolveConfig()
-	if err != nil {
+	var cfg resolved
+	if err := req.resolveConfig(&cfg); err != nil {
 		return nil, err
 	}
-	return e.assessResolved(ctx, req, cfg, subUnplanned)
+	return e.assessResolved(ctx, req, &cfg, subUnplanned)
 }
 
 // assessResolved evaluates a request whose configuration is already
 // materialized — the shared tail of Assess and the planner's batch
 // execution, which resolves configs up front to fingerprint their
 // substrate identities. tag classifies the substrate accounting.
-func (e *Engine) assessResolved(ctx context.Context, req AssessRequest, cfg Config, tag subTag) (*AssessResult, error) {
+func (e *Engine) assessResolved(ctx context.Context, req AssessRequest, cfg *resolved, tag subTag) (*AssessResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -882,9 +906,9 @@ func (e *Engine) assessResolved(ctx context.Context, req AssessRequest, cfg Conf
 	if err != nil {
 		return nil, err
 	}
-	bd, err := cfg.EmbodiedBreakdown()
-	if err != nil {
-		return nil, err
+	bd := cfg.bd
+	if cfg.bdErr != nil {
+		return nil, cfg.bdErr
 	}
 	f, err := cfg.LifetimeFromBreakdown(a, bd, years)
 	if err != nil {
@@ -912,7 +936,7 @@ func (e *Engine) assessResolved(ctx context.Context, req AssessRequest, cfg Conf
 
 		EmbodiedL:      float64(bd.Total()),
 		LifetimeTotalL: float64(f.Total()),
-		EmbodiedShares: map[string]float64{},
+		EmbodiedShares: bd.Shares(),
 
 		Source: SourceSimulated,
 		Live:   live,
@@ -920,9 +944,6 @@ func (e *Engine) assessResolved(ctx context.Context, req AssessRequest, cfg Conf
 	}
 	if req.Source == SourceLive {
 		res.Source = SourceLive
-	}
-	for _, c := range embodied.Components() {
-		res.EmbodiedShares[c.String()] = bd.Share(c)
 	}
 
 	if req.Scenarios {
@@ -961,7 +982,7 @@ func (e *Engine) AssessMany(ctx context.Context, reqs []AssessRequest) ([]*Asses
 // panicking configuration fails that one unit with an error instead of
 // killing the worker goroutine (and with it the process) — a batch of
 // ten thousand units survives one poisoned config.
-func (e *Engine) assessSafe(ctx context.Context, req AssessRequest, cfg Config, tag subTag) (res *AssessResult, err error) {
+func (e *Engine) assessSafe(ctx context.Context, req AssessRequest, cfg *resolved, tag subTag) (res *AssessResult, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			res, err = nil, fmt.Errorf("thirstyflops: assessment panic: %v", r)
@@ -999,16 +1020,14 @@ func (e *Engine) AssessBatch(ctx context.Context, reqs []AssessRequest, onResult
 	// identities from materialized configs, and resolution failures
 	// (unknown system, invalid document) drop out of the schedule
 	// before any simulation runs.
-	cfgs := make([]Config, len(reqs))
+	cfgs := make([]resolved, len(reqs))
 	items := make([]plan.Item, 0, len(reqs))
 	for i, r := range reqs {
-		cfg, err := r.resolveConfig()
-		if err != nil {
+		if err := r.resolveConfig(&cfgs[i]); err != nil {
 			note(i, nil, err)
 			continue
 		}
-		cfgs[i] = cfg
-		items = append(items, planItem(i, cfg))
+		items = append(items, planItem(i, &cfgs[i].Config))
 	}
 
 	// The run callback demuxes completions back into this batch's
@@ -1019,7 +1038,7 @@ func (e *Engine) AssessBatch(ctx context.Context, reqs []AssessRequest, onResult
 			note(i, nil, err)
 			return
 		}
-		res, err := e.assessSafe(ctx, reqs[i], cfgs[i], batchTag(crossJob))
+		res, err := e.assessSafe(ctx, reqs[i], &cfgs[i], batchTag(crossJob))
 		note(i, res, err)
 	})
 	return results, joinUnitErrors(errs)
@@ -1027,7 +1046,7 @@ func (e *Engine) AssessBatch(ctx context.Context, reqs []AssessRequest, onResult
 
 // planItem is the scheduler's view of one batch unit: its batch-local
 // index plus the substrate identities the planner groups by.
-func planItem(i int, cfg Config) plan.Item {
+func planItem(i int, cfg *Config) plan.Item {
 	ks := cfg.SubstrateKeys()
 	return plan.Item{Index: i, Substrate: ks.Combined(), Cluster: ks.Cluster()}
 }
@@ -1282,37 +1301,34 @@ func (e *Engine) Water500(ctx context.Context, req Water500Request) (*Water500Re
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	cfgs, err := core.AllConfigs()
-	if err != nil {
-		return nil, err
-	}
-	for i := range cfgs {
-		if req.Seed != nil {
-			cfgs[i].Seed = *req.Seed
+	names := SystemNames()
+	cfgs := make([]resolved, len(names))
+	items := make([]plan.Item, len(names))
+	for i, name := range names {
+		if err := (AssessRequest{System: name, Seed: req.Seed, Year: req.Year}).resolveConfig(&cfgs[i]); err != nil {
+			return nil, err
 		}
-		if req.Year != nil {
-			cfgs[i].Year = *req.Year
-		}
+		items[i] = planItem(i, &cfgs[i].Config)
 	}
 
 	annuals := make([]core.Annual, len(cfgs))
 	errs := make([]error, len(cfgs))
-	items := make([]plan.Item, len(cfgs))
-	for i, cfg := range cfgs {
-		items[i] = planItem(i, cfg)
-	}
 	e.gangSched.Submit(ctx, items, func(i int, crossJob bool) {
 		if err := ctx.Err(); err != nil {
 			errs[i] = fmt.Errorf("system %s: %w", cfgs[i].System.Name, err)
 			return
 		}
-		annuals[i], _, errs[i] = e.annualFor(cfgs[i], batchTag(crossJob))
+		annuals[i], _, errs[i] = e.annualFor(&cfgs[i], batchTag(crossJob))
 	})
 	if err := errors.Join(errs...); err != nil {
 		return nil, err
 	}
 
-	entries, err := core.Water500From(cfgs, annuals)
+	configs := make([]Config, len(cfgs))
+	for i := range cfgs {
+		configs[i] = cfgs[i].Config
+	}
+	entries, err := core.Water500From(configs, annuals)
 	if err != nil {
 		return nil, err
 	}

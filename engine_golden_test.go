@@ -50,10 +50,7 @@ func TestGoldenServedResults(t *testing.T) {
 				}
 			}
 			// The memoized simulated year carries its intensities.
-			cfg, err := AssessRequest{System: sys.Name, Seed: &seed}.resolveConfig()
-			if err != nil {
-				t.Fatal(err)
-			}
+			cfg := mustResolve(t, AssessRequest{System: sys.Name, Seed: &seed})
 			a, cached, err := eng.annualFor(cfg, subUnplanned)
 			if err != nil || !cached {
 				t.Fatalf("%s seed %d: memo lookup cached=%v err=%v", sys.Name, seed, cached, err)

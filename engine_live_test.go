@@ -99,10 +99,7 @@ func TestEngineLiveAssessReflectsIngestedSamples(t *testing.T) {
 	// The served timeline is the reference splice in arrays of its own,
 	// the result carries that timeline's intensities, and the memoized
 	// live year carries them too while its slot keeps no hourly channel.
-	cfg, err := req.resolveConfig()
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := mustResolve(t, req)
 	base, _, err := eng.annualFor(cfg, subUnplanned)
 	if err != nil {
 		t.Fatal(err)
@@ -113,7 +110,7 @@ func TestEngineLiveAssessReflectsIngestedSamples(t *testing.T) {
 		t.Fatalf("live memo lookup cached=%v err=%v", cached, err)
 	}
 	checkCarriedBy(t, a, *after.Series, cfg.Scarcity)
-	if slot, epoch, ok := residentLive(eng, cfg, stream); !ok || epoch != 24 || slot.Hourly.Len() != 0 || slot.Hourly.PUE != 0 {
+	if slot, epoch, ok := residentLive(eng, cfg.Config, stream); !ok || epoch != 24 || slot.Hourly.Len() != 0 || slot.Hourly.PUE != 0 {
 		t.Errorf("live slot resident=%v at epoch %d holds %d hours, want totals only at epoch 24", ok, epoch, slot.Hourly.Len())
 	}
 }
@@ -228,10 +225,7 @@ func TestEngineLiveSeriesReusesResolvedBase(t *testing.T) {
 	eng, stream := newLiveEngine(t, "", 24)
 	ctx := context.Background()
 	req := AssessRequest{System: "Frontier", Source: SourceLive, IncludeSeries: true}
-	cfg, err := req.resolveConfig()
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := mustResolve(t, req)
 	if _, err := eng.Assess(ctx, req); err != nil {
 		t.Fatal(err)
 	}
@@ -418,10 +412,7 @@ func sharesIntensities(y, base series.Series) bool {
 // rebuilt live timeline does too, and the served timeline is the
 // reference splice in arrays of its own.
 func TestSharedBaseSpliceRace(t *testing.T) {
-	cfg, err := AssessRequest{System: "Frontier"}.resolveConfig()
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := mustResolve(t, AssessRequest{System: "Frontier"})
 	base, err := cfg.Assess()
 	if err != nil {
 		t.Fatal(err)
@@ -527,7 +518,7 @@ func TestSharedBaseSpliceRace(t *testing.T) {
 	if owners[&res.Series.Energy[0]] {
 		t.Error("served live timeline shares a spliced year's energy array")
 	}
-	if slot, epoch, ok := residentLive(eng, cfg, served); !ok || epoch != w.Epoch || slot.Hourly.Len() != 0 {
+	if slot, epoch, ok := residentLive(eng, cfg.Config, served); !ok || epoch != w.Epoch || slot.Hourly.Len() != 0 {
 		t.Errorf("live slot resident=%v at epoch %d holds %d hours, want totals only at epoch %d", ok, epoch, slot.Hourly.Len(), w.Epoch)
 	}
 }
@@ -576,6 +567,55 @@ func TestEngineLiveReplacedStreamNotServedStale(t *testing.T) {
 	}
 }
 
+// TestEngineLiveStaleSnapshotCountsMiss re-registers a replaced stream:
+// its snapshot is older than the live slot, which holds the
+// replacement's year, so the reader computes its own year from the
+// memoized simulated one. The counters tally what was served: the slot
+// lookup is a miss, the simulated year a hit, and the result is not
+// cached.
+func TestEngineLiveStaleSnapshotCountsMiss(t *testing.T) {
+	old, err := NewStream("Frontier", 0, 24)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := NewStreamRegistry(old)
+	eng := NewEngine(WithLiveStreams(reg))
+	ctx := context.Background()
+	req := AssessRequest{System: "Frontier", Source: SourceLive}
+	if _, err := eng.Ingest(Sample{System: "Frontier", Hour: 0, Power: 1e6}); err != nil {
+		t.Fatal(err)
+	}
+	first, err := eng.Assess(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replacement, err := NewStream("Frontier", 0, 24)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg.Register(replacement)
+	if _, err := eng.Ingest(Sample{System: "Frontier", Hour: 0, Power: 9e6}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Assess(ctx, req); err != nil {
+		t.Fatal(err)
+	}
+
+	reg.Register(old)
+	before := eng.CacheStats()
+	res, err := eng.Assess(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := eng.CacheStats()
+	if res.Cached || res.EnergyKWh != first.EnergyKWh {
+		t.Errorf("re-registered stream served cached=%v energy %v, want its own year (%v) uncached", res.Cached, res.EnergyKWh, first.EnergyKWh)
+	}
+	if hits, misses := after.Hits-before.Hits, after.Misses-before.Misses; hits != 1 || misses != 1 {
+		t.Errorf("an uncached live result counted %d hits and %d misses, want 1 and 1 (slot missed, simulated year hit)", hits, misses)
+	}
+}
+
 // TestEngineLiveReplacementsKeepOneSlot replaces a stream with a
 // same-label one several times, assessing live after each: every
 // replacement takes its predecessor's live slot, so the memo keeps the
@@ -592,10 +632,7 @@ func TestEngineLiveReplacementsKeepOneSlot(t *testing.T) {
 	eng := NewEngine(WithLiveStreams(reg))
 	ctx := context.Background()
 	req := AssessRequest{System: "Frontier", Source: SourceLive}
-	cfg, err := req.resolveConfig()
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := mustResolve(t, req)
 	assess := func(power units.Watts) *AssessResult {
 		t.Helper()
 		if _, err := eng.Ingest(Sample{System: "Frontier", Hour: 0, Power: power}); err != nil {
@@ -758,10 +795,7 @@ func TestLiveHeadsUnderIngestRace(t *testing.T) {
 
 	w := stream.Window()
 	for _, req := range reqs {
-		cfg, err := req.resolveConfig()
-		if err != nil {
-			t.Fatal(err)
-		}
+		cfg := mustResolve(t, req)
 		got, info, _, err := eng.liveAnnualFor(cfg, subUnplanned, false)
 		if err != nil {
 			t.Fatal(err)
@@ -778,7 +812,7 @@ func TestLiveHeadsUnderIngestRace(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s seed %d: live year differs from a fresh splice", cfg.System.Name, cfg.Seed)
 		}
-		if y, epoch, ok := residentLive(eng, cfg, stream); !ok || epoch != w.Epoch || !reflect.DeepEqual(y, want) {
+		if y, epoch, ok := residentLive(eng, cfg.Config, stream); !ok || epoch != w.Epoch || !reflect.DeepEqual(y, want) {
 			t.Errorf("%s seed %d: live slot resident=%v at epoch %d, want the newest year (epoch %d)",
 				cfg.System.Name, cfg.Seed, ok, epoch, w.Epoch)
 		}

@@ -141,10 +141,7 @@ func TestEnginePersistenceWarmStart(t *testing.T) {
 	}
 	// A disk-served year carries its intensities like a simulated one.
 	for _, r := range reqs {
-		cfg, err := r.resolveConfig()
-		if err != nil {
-			t.Fatal(err)
-		}
+		cfg := mustResolve(t, r)
 		a, ok := eng2.diskLookup(cfg.Fingerprint())
 		if !ok {
 			t.Fatalf("%s: no disk record", r.System)

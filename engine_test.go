@@ -179,8 +179,11 @@ func TestEngineCachedAssessmentIsFaster(t *testing.T) {
 
 // TestEngineMemoHitAllocations pins the allocations of a memo hit: the
 // config, fingerprint and derived sections do constant work, with no
-// pass over the hourly year. The collector is off while measuring: its
-// timing would otherwise add an allocation to some runs.
+// pass over the hourly year. A bundled system's configuration is copied
+// from its template, its key resumed and its breakdown read, so a plain
+// hit allocates only the result and its embodied shares map (header and
+// group); each optional section adds one. The collector is off while
+// measuring: its timing would otherwise add an allocation to some runs.
 func TestEngineMemoHitAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation pins do not hold under -race: sync.Pool.Put drops 1 in 4 items, so the pooled fingerprint hasher is reallocated at random")
@@ -192,9 +195,9 @@ func TestEngineMemoHitAllocations(t *testing.T) {
 		req  AssessRequest
 		want float64
 	}{
-		{AssessRequest{System: "Frontier"}, 8},
-		{AssessRequest{System: "Frontier", Scenarios: true}, 9},
-		{AssessRequest{System: "Frontier", Withdrawal: true}, 9},
+		{AssessRequest{System: "Frontier"}, 3},
+		{AssessRequest{System: "Frontier", Scenarios: true}, 4},
+		{AssessRequest{System: "Frontier", Withdrawal: true}, 4},
 	} {
 		if _, err := eng.Assess(ctx, tc.req); err != nil {
 			t.Fatal(err)

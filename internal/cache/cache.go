@@ -263,6 +263,16 @@ func (c *Cache[K, V]) Delete(key K) (V, bool) {
 	return e.val, true
 }
 
+// Unhit counts one of the caller's hits as a miss: for a caller that
+// was served a value it could not use and computed its own instead, so
+// the counters tally what was served.
+func (c *Cache[K, V]) Unhit() {
+	c.mu.Lock()
+	c.hits--
+	c.misses++
+	c.mu.Unlock()
+}
+
 // Stats is a snapshot of the cache counters.
 type Stats struct {
 	Hits    uint64

@@ -423,6 +423,21 @@ func TestGetFreshNilIsGet(t *testing.T) {
 	}
 }
 
+// TestUnhitCountsMiss: a hit the caller could not use moves to the
+// misses, and the entry stays resident.
+func TestUnhitCountsMiss(t *testing.T) {
+	c := New[int, int](2)
+	compute := func() (int, error) { return 7, nil }
+	c.Get(1, compute)
+	if _, cached, _ := c.Get(1, compute); !cached {
+		t.Fatal("second Get missed")
+	}
+	c.Unhit()
+	if st := c.Stats(); st.Hits != 0 || st.Misses != 2 || st.Entries != 1 {
+		t.Errorf("stats after Unhit = %+v, want 0 hits, 2 misses, 1 entry", st)
+	}
+}
+
 // TestGetFreshConcurrentSameEpoch: callers that all reject the same
 // published value replace it once — one computation, not one per caller.
 func TestGetFreshConcurrentSameEpoch(t *testing.T) {

@@ -291,7 +291,7 @@ func buildProcessor(d ProcessorDoc, kind hardware.ProcessorKind) (hardware.Proce
 		if !ok {
 			return hardware.Processor{}, fmt.Errorf("unknown catalog processor %q", d.Catalog)
 		}
-		return p, nil
+		return p.Clone(), nil
 	}
 	p := hardware.Processor{
 		Name: d.Name, Kind: kind,

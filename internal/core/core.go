@@ -13,6 +13,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"io"
 
@@ -49,6 +50,11 @@ type Config struct {
 // the four Table 1 systems or a Sec. 6(b) outlook system ("Aurora",
 // "El Capitan"). Only the named system, its site and its region are
 // built.
+//
+// Every call assembles a fresh configuration: its maps and slices alias
+// no other result, so the caller may edit them in place. The Engine does
+// not call it per request; it reads the process-wide, read-only
+// Templates built from it once (TemplateFor).
 func ConfigFor(systemName string) (Config, error) {
 	sys, err := hardware.AnySystemByName(systemName)
 	if err != nil {
@@ -249,8 +255,23 @@ func (a Annual) Spliced(f series.Fold) Annual {
 // a pooled SHA-256, replacing the per-request JSON marshalling the Engine
 // used to pay. Distinct configurations cannot collide and identical ones
 // always hit.
+//
+// The encoding is every other field (fingerprintStatic) followed by Seed
+// and Year (fingerprintSeedYear), so a bundled system's Template saves
+// the hash state after the first part once and derives the same key from
+// Seed and Year alone.
 func (c Config) Fingerprint() fingerprint.Key {
 	h := fingerprint.New()
+	c.fingerprintStatic(h)
+	fingerprintSeedYear(h, c.Seed, c.Year)
+	key := h.Sum()
+	h.Release()
+	return key
+}
+
+// fingerprintStatic writes every field of the fingerprint except Seed
+// and Year, in encoding order.
+func (c *Config) fingerprintStatic(h *fingerprint.Hasher) {
 	c.System.Fingerprint(h)
 	c.Site.Fingerprint(h)
 	c.Region.Fingerprint(h)
@@ -258,11 +279,12 @@ func (c Config) Fingerprint() fingerprint.Key {
 	c.Demand.Fingerprint(h)
 	c.Embodied.Fingerprint(h)
 	c.Scarcity.Fingerprint(h)
-	h.Uint64(c.Seed)
-	h.Int(c.Year)
-	key := h.Sum()
-	h.Release()
-	return key
+}
+
+// fingerprintSeedYear writes the two fields that end the fingerprint.
+func fingerprintSeedYear(h *fingerprint.Hasher, seed uint64, year int) {
+	h.Uint64(seed)
+	h.Int(year)
 }
 
 // Operational is the total operational water footprint (Eq. 1's
@@ -378,6 +400,9 @@ func (a Annual) WriteSeriesCSV(w io.Writer) error {
 	return a.Hourly.WriteCSV(w)
 }
 
+// errNonPositiveLifetime rejects a lifetime of zero or fewer years.
+var errNonPositiveLifetime = errors.New("core: non-positive lifetime")
+
 // Footprint is the complete Eq. 1 decomposition over a system lifetime.
 type Footprint struct {
 	System   string
@@ -417,9 +442,11 @@ func (c Config) LifetimeFrom(a Annual, years float64) (Footprint, error) {
 // LifetimeFromBreakdown scales an assessed year using an already-computed
 // embodied breakdown, so callers that need both (the Engine's request
 // path) derive the breakdown once.
+// It is small enough to inline, so a caller holding a *Config copies no
+// configuration to call it.
 func (c Config) LifetimeFromBreakdown(a Annual, b embodied.Breakdown, years float64) (Footprint, error) {
 	if years <= 0 {
-		return Footprint{}, fmt.Errorf("core: non-positive lifetime")
+		return Footprint{}, errNonPositiveLifetime
 	}
 	return Footprint{
 		System:   c.System.Name,

@@ -262,6 +262,16 @@ func (b Breakdown) Share(c Component) float64 {
 	return float64(b.Water[c]) / float64(t)
 }
 
+// Shares maps each component's name (Component.String) to its Share —
+// the embodied_shares of an assessment result.
+func (b Breakdown) Shares() map[string]float64 {
+	out := make(map[string]float64, numComponents)
+	for c := CompCPU; c < numComponents; c++ {
+		out[c.String()] = b.Share(c)
+	}
+	return out
+}
+
 // ProcessorShare is the combined CPU+GPU fraction.
 func (b Breakdown) ProcessorShare() float64 {
 	return b.Share(CompCPU) + b.Share(CompGPU)

@@ -201,9 +201,20 @@ func (r Region) generate(seed uint64, emit func(Hour)) {
 	hydroInnov := r.HydroNoise * math.Sqrt(1-hydroAR*hydroAR)
 	windInnov := r.WindNoise * math.Sqrt(1-windAR*windAR)
 
+	// A region that dispatches no hydro (or no wind) never reads that
+	// noise, so its draw only advances the stream: every hour consumes
+	// the same values as when both are computed.
 	for h := 0; h < stats.HoursPerYear; h++ {
-		hydroNoise = hydroAR*hydroNoise + rng.NormMeanStd(0, hydroInnov)
-		windNoise = windAR*windNoise + rng.NormMeanStd(0, windInnov)
+		if isVariable[Hydro] {
+			hydroNoise = hydroAR*hydroNoise + rng.NormMeanStd(0, hydroInnov)
+		} else {
+			rng.SkipNorm()
+		}
+		if isVariable[Wind] {
+			windNoise = windAR*windNoise + rng.NormMeanStd(0, windInnov)
+		} else {
+			rng.SkipNorm()
+		}
 
 		var m Shares
 		var dispatched float64

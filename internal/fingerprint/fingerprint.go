@@ -10,12 +10,20 @@
 // children in declaration order. Because each scalar occupies a fixed
 // width and variable-width values are length-prefixed, two distinct field
 // sequences cannot encode to the same byte stream.
+//
+// Keys whose encodings share a long fixed prefix need not hash it again:
+// Freeze saves the SHA-256 state after the prefix (a Prefix), and
+// SumAfter resumes that state in the Hasher's pooled digest and hashes
+// only the suffix. The result is bit-identical to Sum over the whole
+// encoding.
 package fingerprint
 
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding"
 	"encoding/binary"
+	"hash"
 	"math"
 	"sync"
 )
@@ -31,9 +39,16 @@ type Key [sha256.Size]byte
 func (k Key) Compare(o Key) int { return bytes.Compare(k[:], o[:]) }
 
 // Hasher accumulates a canonical encoding into a scratch buffer. Obtain
-// one with New, write fields, call Sum, and Release it back to the pool.
+// one with New, write fields, call Sum (or SumAfter), and Release it back
+// to the pool.
 type Hasher struct {
 	buf []byte
+
+	// The resumable digest behind SumAfter, created on its first use and
+	// kept with the Hasher in the pool, and the scratch its Sum appends
+	// to, so a resumed key allocates nothing.
+	digest hash.Hash
+	sum    [sha256.Size]byte
 }
 
 var pool = sync.Pool{
@@ -57,6 +72,41 @@ func (h *Hasher) Reset() { h.buf = h.buf[:0] }
 
 // Sum hashes the accumulated encoding.
 func (h *Hasher) Sum() Key { return sha256.Sum256(h.buf) }
+
+// Prefix is the SHA-256 state after absorbing an encoding prefix, saved
+// with encoding.BinaryMarshaler. It is immutable and safe to share. The
+// zero Prefix is the empty prefix.
+type Prefix struct{ state []byte }
+
+// Freeze saves the state of hashing the accumulated encoding, so keys
+// whose encodings begin with it can be derived with SumAfter.
+func (h *Hasher) Freeze() Prefix {
+	d := sha256.New()
+	d.Write(h.buf)
+	state, err := d.(encoding.BinaryMarshaler).MarshalBinary()
+	if err != nil {
+		panic("fingerprint: " + err.Error())
+	}
+	return Prefix{state: state}
+}
+
+// SumAfter hashes p's prefix followed by the accumulated encoding: the
+// key Sum returns for a Hasher written with the prefix first. Only the
+// accumulated suffix is hashed.
+func (h *Hasher) SumAfter(p Prefix) Key {
+	if h.digest == nil {
+		h.digest = sha256.New()
+	}
+	if p.state == nil {
+		h.digest.Reset()
+	} else if err := h.digest.(encoding.BinaryUnmarshaler).UnmarshalBinary(p.state); err != nil {
+		panic("fingerprint: " + err.Error())
+	}
+	h.digest.Write(h.buf)
+	var k Key
+	copy(k[:], h.digest.Sum(h.sum[:0]))
+	return k
+}
 
 // Uint64 appends a fixed-width unsigned integer.
 func (h *Hasher) Uint64(v uint64) {

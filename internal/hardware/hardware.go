@@ -6,6 +6,7 @@ package hardware
 
 import (
 	"fmt"
+	"slices"
 
 	"thirstyflops/internal/fingerprint"
 	"thirstyflops/internal/units"
@@ -94,7 +95,15 @@ func (p Processor) Validate() error {
 	return nil
 }
 
-// Catalog processors (vendor/WikiChip published specs).
+// Clone returns p with a Dies slice of its own, so a system built from a
+// catalog processor can be edited without writing through to the catalog.
+func (p Processor) Clone() Processor {
+	p.Dies = slices.Clone(p.Dies)
+	return p
+}
+
+// Catalog processors (vendor/WikiChip published specs). System
+// constructors take Clones of them.
 var (
 	// IBM POWER9 (Marconi100 AC922 host CPU), 14 nm GlobalFoundries.
 	Power9 = Processor{
@@ -378,8 +387,8 @@ func Marconi100() System {
 		Region: "Italy", StartYear: 2019,
 		Nodes: 980,
 		Node: Node{
-			CPUs: 2, CPU: Power9,
-			GPUs: 4, GPU: V100,
+			CPUs: 2, CPU: Power9.Clone(),
+			GPUs: 4, GPU: V100.Clone(),
 			DRAMGB: 256, OverheadW: 450,
 		},
 		Storage: []StoragePool{
@@ -398,7 +407,7 @@ func Fugaku() System {
 		Region: "Japan", StartYear: 2020,
 		Nodes: 158976,
 		Node: Node{
-			CPUs: 1, CPU: A64FX,
+			CPUs: 1, CPU: A64FX.Clone(),
 			DRAMGB: 0, OverheadW: 40,
 		},
 		Storage: []StoragePool{
@@ -419,8 +428,8 @@ func Polaris() System {
 		Region: "Illinois", StartYear: 2021,
 		Nodes: 560,
 		Node: Node{
-			CPUs: 1, CPU: EPYC7532,
-			GPUs: 4, GPU: A100,
+			CPUs: 1, CPU: EPYC7532.Clone(),
+			GPUs: 4, GPU: A100.Clone(),
 			DRAMGB: 512, OverheadW: 500,
 		},
 		Storage: []StoragePool{
@@ -439,8 +448,8 @@ func Frontier() System {
 		SiteName: "Oak Ridge", Region: "Tennessee", StartYear: 2021,
 		Nodes: 9408,
 		Node: Node{
-			CPUs: 1, CPU: EPYC7A53,
-			GPUs: 4, GPU: MI250X,
+			CPUs: 1, CPU: EPYC7A53.Clone(),
+			GPUs: 4, GPU: MI250X.Clone(),
 			DRAMGB: 512, OverheadW: 500,
 		},
 		Storage: []StoragePool{

@@ -48,8 +48,8 @@ func Aurora() System {
 		Region: "Illinois", StartYear: 2023,
 		Nodes: 10624,
 		Node: Node{
-			CPUs: 2, CPU: XeonMax,
-			GPUs: 6, GPU: Max1550,
+			CPUs: 2, CPU: XeonMax.Clone(),
+			GPUs: 6, GPU: Max1550.Clone(),
 			DRAMGB: 1024, OverheadW: 800,
 		},
 		Storage: []StoragePool{
@@ -68,7 +68,7 @@ func ElCapitan() System {
 		SiteName: "Livermore", Region: "California", StartYear: 2024,
 		Nodes: 11136,
 		Node: Node{
-			GPUs: 4, GPU: MI300A,
+			GPUs: 4, GPU: MI300A.Clone(),
 			DRAMGB: 0, OverheadW: 500,
 		},
 		Storage: []StoragePool{

@@ -60,6 +60,14 @@ func (r *RNG) Norm() float64 {
 	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
 }
 
+// SkipNorm advances the stream past one Norm draw without computing it,
+// for a caller that must keep its stream aligned but does not read the
+// deviate: the stream continues exactly as after Norm.
+func (r *RNG) SkipNorm() {
+	r.Uint64()
+	r.Uint64()
+}
+
 // NormMeanStd returns a normal deviate with the given mean and standard
 // deviation.
 func (r *RNG) NormMeanStd(mean, std float64) float64 {

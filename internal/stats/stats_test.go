@@ -207,6 +207,21 @@ func TestRNGDeterminism(t *testing.T) {
 	}
 }
 
+// TestSkipNormKeepsStream checks that skipping a normal draw leaves the
+// stream where drawing it would.
+func TestSkipNormKeepsStream(t *testing.T) {
+	for _, seed := range []uint64{0, 1, 42, math.MaxUint64} {
+		drawn, skipped := NewRNG(seed), NewRNG(seed)
+		for i := 0; i < 100; i++ {
+			drawn.Norm()
+			skipped.SkipNorm()
+			if a, b := drawn.Uint64(), skipped.Uint64(); a != b {
+				t.Fatalf("seed %d draw %d: stream after SkipNorm is %d, after Norm %d", seed, i, b, a)
+			}
+		}
+	}
+}
+
 func TestRNGZeroSeed(t *testing.T) {
 	r := NewRNG(0)
 	if r.Uint64() == 0 && r.Uint64() == 0 {
