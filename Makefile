@@ -7,7 +7,8 @@
 # The chaos target runs the full randomized fault-schedule suite
 # (CHAOS=1 unlocks the long multi-seed schedules; the short
 # deterministic smoke variant already runs in the default test tier)
-# under the race detector, alongside the store fault-injection and
+# under the race detector, alongside every internal/store test (its
+# fault-injection tests among them, in well under a second) and the
 # engine degraded-mode tests.
 
 .PHONY: build test race bench docs chaos
@@ -31,4 +32,5 @@ docs:
 
 chaos:
 	CHAOS=1 go test -race -count=1 -run '^TestChaos' ./cmd/thirstyflopsd
+	go test -race -count=1 ./internal/store
 	go test -race -count=1 -run 'Fault|Wedge|Degraded|Panic|Resilience|Breaker' ./...

@@ -33,8 +33,7 @@ func BenchmarkAblationWUECap(b *testing.B) {
 		b.Run(variant.name, func(b *testing.B) {
 			var maxWUE float64
 			for i := 0; i < b.N; i++ {
-				s := wue.Summarize(variant.curve.Series(wbs))
-				maxWUE = s.Max
+				maxWUE = stats.Max(variant.curve.SeriesFloat(wbs))
 			}
 			b.ReportMetric(maxWUE, "maxWUE(L/kWh)")
 		})
@@ -61,7 +60,11 @@ func BenchmarkAblationHydroSeasonality(b *testing.B) {
 			variant.mutate(&region)
 			var spread float64
 			for i := 0; i < b.N; i++ {
-				ewf := energy.AnnualEWF(region.HourlyYear(42))
+				hours := region.HourlyYear(42)
+				ewf := make([]float64, len(hours))
+				for h, hr := range hours {
+					ewf[h] = float64(hr.EWF)
+				}
 				spread = stats.Max(ewf) - stats.Min(ewf)
 			}
 			b.ReportMetric(spread, "EWFrange(L/kWh)")

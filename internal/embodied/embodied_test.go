@@ -10,17 +10,20 @@ import (
 )
 
 func TestNodeFactorsMonotone(t *testing.T) {
-	// Water and energy per cm² must grow as process nodes shrink.
-	nodes := NodesCovered()
-	for i := 1; i < len(nodes); i++ {
-		bigger, smaller := nodes[i-1], nodes[i]
+	// Water and energy per cm² must grow as process nodes shrink. The
+	// table must list nodes in descending size for factorsAt to bracket.
+	for i := 1; i < len(nodeFactors); i++ {
+		bigger, smaller := nodeFactors[i-1].Node, nodeFactors[i].Node
+		if smaller >= bigger {
+			t.Fatalf("node table not descending: %v after %v", smaller, bigger)
+		}
 		if UPW(smaller) <= UPW(bigger) {
 			t.Errorf("UPW(%v) <= UPW(%v)", smaller, bigger)
 		}
 		if PCW(smaller) <= PCW(bigger) {
 			t.Errorf("PCW(%v) <= PCW(%v)", smaller, bigger)
 		}
-		if ManufacturingEnergy(smaller) <= ManufacturingEnergy(bigger) {
+		if factorsAt(smaller).Energy <= factorsAt(bigger).Energy {
 			t.Errorf("Energy(%v) <= Energy(%v)", smaller, bigger)
 		}
 	}
@@ -53,10 +56,24 @@ func TestFactorInterpolationAndClamping(t *testing.T) {
 }
 
 func TestWPADependsOnFabGrid(t *testing.T) {
-	dry := WPA(7, 1.0)
-	wet := WPA(7, 4.0)
-	if math.Abs(float64(wet)-4*float64(dry)) > 1e-9 {
-		t.Errorf("WPA should scale linearly with fab EWF: %v vs %v", wet, dry)
+	// Only Eq. 4's WPA term (fab energy per cm² times the fab grid's EWF)
+	// depends on FabEWF, so raising it from 1 to 4 L/kWh adds 3x the fab
+	// energy of the 8 cm² die.
+	p := hardware.Processor{
+		Name: "test", Kind: hardware.GPU,
+		Dies:    []hardware.Die{{Area: 800, Node: 7, Count: 1}},
+		ICCount: 10,
+	}
+	dry, err := ProcessorWater(p, Params{Yield: 1, FabEWF: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wet, err := ProcessorWater(p, Params{Yield: 1, FabEWF: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := float64(wet-dry), 3*8*factorsAt(7).Energy; math.Abs(got-want) > 1e-9 {
+		t.Errorf("WPA should scale linearly with fab EWF: +%v L, want +%v L", got, want)
 	}
 }
 

@@ -10,21 +10,18 @@ import (
 )
 
 func TestSourceStringAndParse(t *testing.T) {
+	// Names are what configuration files and reports carry, so every
+	// source needs its own.
+	seen := make(map[string]Source)
 	for _, s := range AllSources() {
 		name := s.String()
 		if name == "" {
 			t.Fatalf("source %d has empty name", s)
 		}
-		got, err := ParseSource(name)
-		if err != nil {
-			t.Fatalf("ParseSource(%q): %v", name, err)
+		if prev, dup := seen[name]; dup {
+			t.Errorf("sources %d and %d share the name %q", prev, s, name)
 		}
-		if got != s {
-			t.Errorf("round trip %q: got %v, want %v", name, got, s)
-		}
-	}
-	if _, err := ParseSource("plutonium"); err == nil {
-		t.Error("unknown source should error")
+		seen[name] = s
 	}
 	if s := Source(99).String(); s != "source(99)" {
 		t.Errorf("out-of-range String = %q", s)
@@ -311,10 +308,15 @@ func TestFig6aShape(t *testing.T) {
 	// the lowest minimum EWF. The Polaris minimum should be ~85 % below
 	// Marconi's maximum (paper: 1.52 vs 10.59 L/kWh).
 	seed := uint64(42)
-	it := AnnualEWF(Italy().HourlyYear(seed))
-	jp := AnnualEWF(Japan().HourlyYear(seed))
-	il := AnnualEWF(Illinois().HourlyYear(seed))
-	tn := AnnualEWF(Tennessee().HourlyYear(seed))
+	ewf := func(r Region) []float64 {
+		hours := r.HourlyYear(seed)
+		out := make([]float64, len(hours))
+		for i, h := range hours {
+			out[i] = float64(h.EWF)
+		}
+		return out
+	}
+	it, jp, il, tn := ewf(Italy()), ewf(Japan()), ewf(Illinois()), ewf(Tennessee())
 
 	itRange := stats.Max(it) - stats.Min(it)
 	for name, s := range map[string][]float64{"Japan": jp, "Illinois": il, "Tennessee": tn} {
@@ -339,26 +341,17 @@ func TestFig6aShape(t *testing.T) {
 
 func TestMeanMixCloseToBase(t *testing.T) {
 	r := Tennessee()
-	mean := MeanMix(r.HourlyYear(7))
-	for s, w := range r.Base {
-		if math.Abs(mean.Share(s)-w) > 0.08 {
-			t.Errorf("%v annual mean share %.3f drifted from base %.3f", s, mean.Share(s), w)
+	hours := r.HourlyYear(7)
+	var sum Shares
+	for _, h := range hours {
+		for s, w := range h.Mix {
+			sum[s] += w
 		}
 	}
-	if len(MeanMix(nil)) != 0 {
-		t.Error("MeanMix(nil) should be empty")
-	}
-}
-
-func TestAnnualSeriesHelpers(t *testing.T) {
-	hrs := Texas().HourlyYear(9)
-	e := AnnualEWF(hrs)
-	c := AnnualCarbon(hrs)
-	if len(e) != len(hrs) || len(c) != len(hrs) {
-		t.Fatal("series length mismatch")
-	}
-	if e[100] != float64(hrs[100].EWF) || c[100] != float64(hrs[100].Carbon) {
-		t.Error("series values mismatch")
+	for s, w := range r.Base {
+		if mean := sum[s] / float64(len(hours)); math.Abs(mean-w) > 0.08 {
+			t.Errorf("%v annual mean share %.3f drifted from base %.3f", s, mean, w)
+		}
 	}
 }
 
@@ -420,12 +413,13 @@ func TestUSStates(t *testing.T) {
 			t.Errorf("%s: negative HPC power", s.Code)
 		}
 	}
-	tn, ok := StateByCode("TN")
-	if !ok || tn.Name != "Tennessee" {
-		t.Fatal("StateByCode(TN) failed")
+	byCode := make(map[string]StateProfile, len(states))
+	for _, s := range states {
+		byCode[s.Code] = s
 	}
-	if _, ok := StateByCode("ZZ"); ok {
-		t.Error("bogus state code resolved")
+	tn, ok := byCode["TN"]
+	if !ok || tn.Name != "Tennessee" {
+		t.Fatal("TN missing or misnamed")
 	}
 	if tn.HPCPowerMW < 20 {
 		t.Error("Tennessee (Frontier+Summit) should dominate HPC power")
@@ -434,8 +428,7 @@ func TestUSStates(t *testing.T) {
 		t.Error("total HPC power should be positive")
 	}
 	// Fig 1(a) gradient: coastal WA/CA below inland WV/WY.
-	wa, _ := StateByCode("WA")
-	wv, _ := StateByCode("WV")
+	wa, wv := byCode["WA"], byCode["WV"]
 	if wa.CarbonIntensity >= wv.CarbonIntensity {
 		t.Error("coastal WA should be lower-carbon than WV")
 	}

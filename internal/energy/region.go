@@ -261,45 +261,6 @@ func (r Region) generate(seed uint64, emit func(Hour)) {
 // finite reports whether f is neither infinite nor NaN.
 func finite(f float64) bool { return !math.IsInf(f, 0) && !math.IsNaN(f) }
 
-// AnnualEWF returns the hourly EWF values of a simulated year.
-func AnnualEWF(hours []Hour) []float64 {
-	out := make([]float64, len(hours))
-	for i, h := range hours {
-		out[i] = float64(h.EWF)
-	}
-	return out
-}
-
-// AnnualCarbon returns the hourly carbon-intensity values of a year.
-func AnnualCarbon(hours []Hour) []float64 {
-	out := make([]float64, len(hours))
-	for i, h := range hours {
-		out[i] = float64(h.Carbon)
-	}
-	return out
-}
-
-// MeanMix averages the hourly mixes of a simulated year. Sources with no
-// share in any hour are absent from the result.
-func MeanMix(hours []Hour) Mix {
-	if len(hours) == 0 {
-		return Mix{}
-	}
-	var acc Shares
-	for _, h := range hours {
-		for s, w := range h.Mix {
-			acc[s] += w
-		}
-	}
-	mean := make(Mix, numSources)
-	for s, w := range acc {
-		if w != 0 {
-			mean[Source(s)] = w / float64(len(hours))
-		}
-	}
-	return mean.Normalized()
-}
-
 // --- The four paper regions ---
 
 // Italy returns the grid serving Marconi100 (Bologna): gas-led with a large

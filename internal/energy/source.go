@@ -71,16 +71,6 @@ func (s Source) String() string {
 	return sourceNames[s]
 }
 
-// ParseSource resolves a source name (as produced by String).
-func ParseSource(name string) (Source, error) {
-	for i, n := range sourceNames {
-		if n == name {
-			return Source(i), nil
-		}
-	}
-	return 0, fmt.Errorf("energy: unknown source %q", name)
-}
-
 // Renewable reports whether the source is conventionally counted as
 // renewable. Nuclear is low-carbon but not renewable.
 func (s Source) Renewable() bool {

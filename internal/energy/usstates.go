@@ -82,16 +82,6 @@ func USStates() []StateProfile {
 	return out
 }
 
-// StateByCode looks up one state by its postal code.
-func StateByCode(code string) (StateProfile, bool) {
-	for _, s := range usStates {
-		if s.Code == code {
-			return s, true
-		}
-	}
-	return StateProfile{}, false
-}
-
 // TotalHPCPowerMW sums the TOP500 HPC power over all states (Fig. 1c
 // aggregate).
 func TotalHPCPowerMW() float64 {

@@ -121,15 +121,6 @@ func (h *Hasher) Int(v int) { h.Uint64(uint64(v)) }
 // bit-exact memoization contract.
 func (h *Hasher) Float(v float64) { h.Uint64(math.Float64bits(v)) }
 
-// Bool appends one byte.
-func (h *Hasher) Bool(v bool) {
-	if v {
-		h.buf = append(h.buf, 1)
-	} else {
-		h.buf = append(h.buf, 0)
-	}
-}
-
 // Bytes appends a length-prefixed byte string — used to fold an already
 // derived Key into a composite fingerprint (the Engine's live-window
 // keys chain the configuration key with the stream identity and epoch).

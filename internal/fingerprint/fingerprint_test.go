@@ -22,11 +22,11 @@ func TestDeterministic(t *testing.T) {
 }
 
 func TestFieldSensitivity(t *testing.T) {
-	base := sumOf(func(h *Hasher) { h.String("x"); h.Float(1.5); h.Bool(true) })
+	base := sumOf(func(h *Hasher) { h.String("x"); h.Float(1.5); h.Int(1) })
 	for name, write := range map[string]func(h *Hasher){
-		"string":  func(h *Hasher) { h.String("y"); h.Float(1.5); h.Bool(true) },
-		"float":   func(h *Hasher) { h.String("x"); h.Float(1.6); h.Bool(true) },
-		"bool":    func(h *Hasher) { h.String("x"); h.Float(1.5); h.Bool(false) },
+		"string":  func(h *Hasher) { h.String("y"); h.Float(1.5); h.Int(1) },
+		"float":   func(h *Hasher) { h.String("x"); h.Float(1.6); h.Int(1) },
+		"int":     func(h *Hasher) { h.String("x"); h.Float(1.5); h.Int(0) },
 		"missing": func(h *Hasher) { h.String("x"); h.Float(1.5) },
 	} {
 		if sumOf(write) == base {

@@ -106,41 +106,6 @@ func (d DemandModel) UtilizationYear(seed uint64) []float64 {
 	return out
 }
 
-// EnergyYear converts a utilization series into the system's hourly IT
-// energy via the linear idle-to-peak power model anchored at the measured
-// HPL peak — the paper's "if power consumption data is available, use it
-// directly" path.
-func EnergyYear(sys hardware.System, util []float64) []units.KWh {
-	out := make([]units.KWh, len(util))
-	for i, u := range util {
-		out[i] = sys.PowerAt(u).EnergyOver(1)
-	}
-	return out
-}
-
-// EnergyYearTDP estimates hourly IT energy from the aggregate node TDP
-// instead of measured power — the paper's fallback path when no power
-// logs exist ("calculate the machine utilization from job logs and
-// estimate the energy consumption using the hardware's thermal design
-// power"). TDP sums overstate real draw, so this bounds EnergyYear from
-// above at full utilization.
-func EnergyYearTDP(sys hardware.System, util []float64) []units.KWh {
-	peak := float64(sys.Node.TDP()) * float64(sys.Nodes)
-	idle := peak * sys.IdleFraction
-	out := make([]units.KWh, len(util))
-	for i, u := range util {
-		if u < 0 {
-			u = 0
-		}
-		if u > 1 {
-			u = 1
-		}
-		watts := idle + (peak-idle)*u
-		out[i] = units.KWh(watts / 1e3)
-	}
-	return out
-}
-
 // PowerLogYear produces a telemetry log for a system under a demand model
 // — the synthetic stand-in for the paper's published power logs.
 func PowerLogYear(sys hardware.System, d DemandModel, seed uint64, year int) telemetry.PowerLog {
@@ -234,15 +199,6 @@ func GenerateTrace(p TraceParams, seed uint64) ([]Job, error) {
 		})
 	}
 	return out, nil
-}
-
-// TraceEnergy sums the IT energy of a trace.
-func TraceEnergy(jobs []Job) units.KWh {
-	var total units.KWh
-	for _, j := range jobs {
-		total += j.Energy()
-	}
-	return total
 }
 
 // SortBySubmit orders jobs by submission time (stable on ties by ID).

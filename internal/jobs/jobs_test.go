@@ -8,6 +8,7 @@ import (
 
 	"thirstyflops/internal/hardware"
 	"thirstyflops/internal/stats"
+	"thirstyflops/internal/units"
 )
 
 func TestDemandValidate(t *testing.T) {
@@ -84,11 +85,16 @@ func TestWeekendDip(t *testing.T) {
 }
 
 func TestEnergyYear(t *testing.T) {
+	// A flat demand model holds every hour at one utilization, so each
+	// hour of the year's power log prices the idle-to-peak model there.
 	sys := hardware.Polaris()
-	util := []float64{0, 0.5, 1}
-	e := EnergyYear(sys, util)
-	if len(e) != 3 {
-		t.Fatal("length mismatch")
+	var e [3]units.KWh
+	for i, u := range []float64{0, 0.5, 1} {
+		hourly := PowerLogYear(sys, DemandModel{Mean: u, Floor: u, Cap: u}, 7, 2023).HourlyEnergy()
+		if len(hourly) != stats.HoursPerYear {
+			t.Fatalf("utilization %v: %d hours", u, len(hourly))
+		}
+		e[i] = hourly[100]
 	}
 	if e[0] >= e[1] || e[1] >= e[2] {
 		t.Error("energy should increase with utilization")
@@ -203,9 +209,8 @@ func TestJobEnergy(t *testing.T) {
 	if got := j.Energy(); math.Abs(float64(got)-30) > 1e-9 {
 		t.Errorf("Energy = %v, want 30", got)
 	}
-	js := []Job{j, j}
-	if got := TraceEnergy(js); math.Abs(float64(got)-60) > 1e-9 {
-		t.Errorf("TraceEnergy = %v, want 60", got)
+	if got := traceEnergy([]Job{j, j}); math.Abs(float64(got)-60) > 1e-9 {
+		t.Errorf("trace energy = %v, want 60", got)
 	}
 }
 
@@ -243,6 +248,15 @@ func TestTraceDeterminismProperty(t *testing.T) {
 	}
 }
 
+// traceEnergy sums the IT energy of a trace.
+func traceEnergy(js []Job) units.KWh {
+	var total units.KWh
+	for _, j := range js {
+		total += j.Energy()
+	}
+	return total
+}
+
 // Property: trace energy is non-negative and additive over splits.
 func TestTraceEnergyAdditiveProperty(t *testing.T) {
 	js, _ := GenerateTrace(DefaultTrace(128), 5)
@@ -251,8 +265,8 @@ func TestTraceEnergyAdditiveProperty(t *testing.T) {
 			return true
 		}
 		k := int(cut) % len(js)
-		lhs := float64(TraceEnergy(js))
-		rhs := float64(TraceEnergy(js[:k])) + float64(TraceEnergy(js[k:]))
+		lhs := float64(traceEnergy(js))
+		rhs := float64(traceEnergy(js[:k])) + float64(traceEnergy(js[k:]))
 		return lhs >= 0 && math.Abs(lhs-rhs) < 1e-6*math.Max(1, lhs)
 	}
 	if err := quick.Check(f, nil); err != nil {

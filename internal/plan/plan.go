@@ -77,25 +77,6 @@ type Plan struct {
 	Groups []Group
 }
 
-// Items returns the total number of scheduled items.
-func (p Plan) Items() int {
-	n := 0
-	for _, s := range p.Spans {
-		n += len(s)
-	}
-	return n
-}
-
-// Order flattens the schedule into one global sequence, span by span —
-// the execution order a single worker would follow.
-func (p Plan) Order() []int {
-	out := make([]int, 0, p.Items())
-	for _, s := range p.Spans {
-		out = append(out, s...)
-	}
-	return out
-}
-
 // compareCluster orders two component-key vectors lexicographically.
 func compareCluster(a, b [4]fingerprint.Key) int {
 	for i := range a {

@@ -256,10 +256,7 @@ func TestBuildDegenerate(t *testing.T) {
 	}
 	items := []Item{itemOf(0, 1, 1, 1), itemOf(1, 2, 2, 2)}
 	p := Build(items, 0)
-	if len(p.Spans) != 1 || len(p.Order()) != 2 {
+	if len(p.Spans) != 1 || len(p.Spans[0]) != 2 {
 		t.Fatalf("workers=0 should clamp to one span: %+v", p)
-	}
-	if p.Items() != 2 {
-		t.Fatalf("Items() = %d, want 2", p.Items())
 	}
 }

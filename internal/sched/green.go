@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"thirstyflops/internal/jobs"
-	"thirstyflops/internal/stats"
 	"thirstyflops/internal/units"
 )
 
@@ -151,17 +150,4 @@ func CompareGreen(trace []jobs.Job, nodes int, wi []units.LPerKWh, ci []units.GC
 		cmp.WaterSaved = 100 * (float64(pf.Water) - float64(gf.Water)) / float64(pf.Water)
 	}
 	return cmp, nil
-}
-
-// MeanIntensity is a helper exposing the mean of an intensity window,
-// used by tests and reports.
-func MeanIntensity(wi []units.LPerKWh, from, to int) float64 {
-	if from < 0 || to > len(wi) || from >= to {
-		return 0
-	}
-	fs := make([]float64, to-from)
-	for i := from; i < to; i++ {
-		fs[i-from] = float64(wi[i])
-	}
-	return stats.Mean(fs)
 }

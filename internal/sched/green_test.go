@@ -52,7 +52,10 @@ func TestPowerSeriesEnergyConservation(t *testing.T) {
 	for _, w := range series {
 		seriesEnergy += float64(w.EnergyOver(1))
 	}
-	want := float64(jobs.TraceEnergy(trace))
+	var want float64
+	for _, j := range trace {
+		want += float64(j.Energy())
+	}
 	if math.Abs(seriesEnergy-want) > 1e-6*want {
 		t.Errorf("series energy %v != trace energy %v", seriesEnergy, want)
 	}
@@ -197,15 +200,5 @@ func TestSlackShiftErrors(t *testing.T) {
 	}
 	if _, err := SlackShiftBackfill(trace, 4, nil, 1); err == nil {
 		t.Error("empty intensity accepted")
-	}
-}
-
-func TestMeanIntensity(t *testing.T) {
-	wi := []units.LPerKWh{1, 2, 3, 4}
-	if got := MeanIntensity(wi, 1, 3); math.Abs(got-2.5) > 1e-12 {
-		t.Errorf("mean = %v, want 2.5", got)
-	}
-	if MeanIntensity(wi, 3, 3) != 0 || MeanIntensity(wi, -1, 2) != 0 || MeanIntensity(wi, 0, 9) != 0 {
-		t.Error("degenerate windows should be zero")
 	}
 }

@@ -19,8 +19,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
 
 	"thirstyflops/internal/units"
 )
@@ -363,7 +361,7 @@ func (s Series) Equal(o Series) bool {
 	return true
 }
 
-// --- CSV round trip ---
+// --- CSV export ---
 
 // WriteCSV emits the series as "hour,energy_kwh,wue,ewf,wi,carbon" rows
 // with a header comment carrying the PUE, compatible with external
@@ -384,56 +382,4 @@ func (s Series) WriteCSV(w io.Writer) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// ReadCSV parses a series written by WriteCSV. The derived WI column is
-// ignored; it is recomputed from the stored channels on demand.
-func ReadCSV(r io.Reader) (Series, error) {
-	s := Series{PUE: 1}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	lineNo := 0
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		lineNo++
-		switch {
-		case line == "":
-			continue
-		case strings.HasPrefix(line, "#"):
-			for _, field := range strings.Fields(strings.TrimPrefix(line, "#")) {
-				k, v, ok := strings.Cut(field, "=")
-				if !ok || k != "pue" {
-					continue
-				}
-				p, err := strconv.ParseFloat(v, 64)
-				if err != nil {
-					return Series{}, fmt.Errorf("series: line %d: bad pue %q", lineNo, v)
-				}
-				s.PUE = units.PUE(p)
-			}
-		case strings.HasPrefix(line, "hour,"):
-			continue
-		default:
-			cols := strings.Split(line, ",")
-			if len(cols) != 6 {
-				return Series{}, fmt.Errorf("series: line %d: malformed row %q", lineNo, line)
-			}
-			vals := make([]float64, 4)
-			for i, col := range []int{1, 2, 3, 5} {
-				v, err := strconv.ParseFloat(cols[col], 64)
-				if err != nil {
-					return Series{}, fmt.Errorf("series: line %d: bad value %q", lineNo, cols[col])
-				}
-				vals[i] = v
-			}
-			s.Energy = append(s.Energy, units.KWh(vals[0]))
-			s.WUE = append(s.WUE, units.LPerKWh(vals[1]))
-			s.EWF = append(s.EWF, units.LPerKWh(vals[2]))
-			s.Carbon = append(s.Carbon, units.GCO2PerKWh(vals[3]))
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return Series{}, err
-	}
-	return s, s.Validate()
 }

@@ -2,8 +2,13 @@ package series
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
+	"strings"
 	"testing"
 
 	"thirstyflops/internal/units"
@@ -139,29 +144,52 @@ func TestFromIntensities(t *testing.T) {
 	}
 }
 
+// goldenCSV is the SHA-256 of sample's WriteCSV output. It was recorded
+// while a CSV reader still round-tripped the writer, so it pins the
+// format that reader accepted byte for byte.
+const goldenCSV = "0f49b209a1806dc8fb03e984e6041c9822cced2fea16b567d31177bdec8512cd"
+
+func TestWriteCSVGolden(t *testing.T) {
+	var buf bytes.Buffer
+	if err := sample().WriteCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(buf.Bytes())
+	if got := hex.EncodeToString(sum[:]); got != goldenCSV {
+		t.Errorf("WriteCSV digest %s, want %s\n%s", got, goldenCSV, buf.String())
+	}
+}
+
+// TestCSVRoundTrip parses WriteCSV's rows back and checks that every
+// channel, and the derived water intensity, lands in its own column at
+// the printed precision.
 func TestCSVRoundTrip(t *testing.T) {
-	s := sample()
+	s := randomSeries(500, 3)
 	var buf bytes.Buffer
 	if err := s.WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
+	lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+	if want := fmt.Sprintf("# pue=%.4f", float64(s.PUE)); lines[0] != want {
+		t.Errorf("header %q, want %q", lines[0], want)
 	}
-	if got.PUE != s.PUE || got.Len() != s.Len() {
-		t.Fatalf("round trip shape: %+v", got)
+	rows := lines[2:]
+	if len(rows) != s.Len() {
+		t.Fatalf("%d rows, want %d", len(rows), s.Len())
 	}
-	for h := 0; h < s.Len(); h++ {
-		if math.Abs(float64(got.Energy[h]-s.Energy[h])) > 1e-3 ||
-			math.Abs(float64(got.WUE[h]-s.WUE[h])) > 1e-4 ||
-			math.Abs(float64(got.EWF[h]-s.EWF[h])) > 1e-4 ||
-			math.Abs(float64(got.Carbon[h]-s.Carbon[h])) > 1e-2 {
-			t.Errorf("hour %d differs after round trip", h)
+	for h, row := range rows {
+		want := []float64{float64(h), float64(s.Energy[h]), float64(s.WUE[h]),
+			float64(s.EWF[h]), float64(s.WaterIntensityAt(h)), float64(s.Carbon[h])}
+		cols := strings.Split(row, ",")
+		if len(cols) != len(want) {
+			t.Fatalf("hour %d: row %q has %d columns", h, row, len(cols))
 		}
-	}
-	if _, err := ReadCSV(bytes.NewBufferString("0,1,2\n")); err == nil {
-		t.Error("malformed row accepted")
+		for i, col := range cols {
+			v, err := strconv.ParseFloat(col, 64)
+			if err != nil || math.Abs(v-want[i]) > 5e-3 {
+				t.Errorf("hour %d column %d: %q, want %v", h, i, col, want[i])
+			}
+		}
 	}
 }
 

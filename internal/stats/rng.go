@@ -36,11 +36,6 @@ func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / float64(1<<53)
 }
 
-// Range returns a uniform value in [lo, hi).
-func (r *RNG) Range(lo, hi float64) float64 {
-	return lo + (hi-lo)*r.Float64()
-}
-
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.
 func (r *RNG) Intn(n int) int {
 	if n <= 0 {
@@ -90,11 +85,4 @@ func (r *RNG) Exp(rate float64) float64 {
 		u = 1e-300
 	}
 	return -math.Log(u) / rate
-}
-
-// Fork derives an independent child generator from the current stream.
-// Children produced from distinct parents or at distinct points in a parent
-// stream are statistically independent for simulation purposes.
-func (r *RNG) Fork() *RNG {
-	return NewRNG(r.Uint64() ^ 0xD1B54A32D192ED03)
 }

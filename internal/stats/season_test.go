@@ -42,7 +42,7 @@ func seasonShifts() []float64 {
 	}
 	rng := stats.NewRNG(22)
 	for i := 0; i < 8; i++ {
-		shifts = append(shifts, rng.Range(-400, 800))
+		shifts = append(shifts, -400+1200*rng.Float64())
 	}
 	return shifts
 }

@@ -53,22 +53,6 @@ func Mean(xs []float64) float64 {
 	return Sum(xs) / float64(len(xs))
 }
 
-// Variance returns the population variance of xs. It panics on an empty
-// slice.
-func Variance(xs []float64) float64 {
-	mustNonEmpty(xs)
-	m := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return s / float64(len(xs))
-}
-
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
 // Median returns the median of xs. It panics on an empty slice.
 func Median(xs []float64) float64 { return Quantile(xs, 0.5) }
 
@@ -338,9 +322,6 @@ func Clamp(x, lo, hi float64) float64 {
 	}
 	return x
 }
-
-// Lerp linearly interpolates between a and b by t in [0,1].
-func Lerp(a, b, t float64) float64 { return a + (b-a)*t }
 
 func mustNonEmpty(xs []float64) {
 	if len(xs) == 0 {

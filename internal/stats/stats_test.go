@@ -23,16 +23,6 @@ func TestMinMaxSumMean(t *testing.T) {
 	}
 }
 
-func TestVarianceStdDev(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if got := Variance(xs); math.Abs(got-4) > 1e-12 {
-		t.Errorf("Variance = %v, want 4", got)
-	}
-	if got := StdDev(xs); math.Abs(got-2) > 1e-12 {
-		t.Errorf("StdDev = %v, want 2", got)
-	}
-}
-
 func TestMedianQuantile(t *testing.T) {
 	if got := Median([]float64{1, 2, 3, 4, 5}); got != 3 {
 		t.Errorf("odd Median = %v, want 3", got)
@@ -180,9 +170,6 @@ func TestClampLerp(t *testing.T) {
 	if Clamp(5, 0, 3) != 3 || Clamp(-1, 0, 3) != 0 || Clamp(2, 0, 3) != 2 {
 		t.Error("Clamp misbehaves")
 	}
-	if Lerp(0, 10, 0.5) != 5 {
-		t.Error("Lerp midpoint wrong")
-	}
 }
 
 // --- RNG tests ---
@@ -242,10 +229,6 @@ func TestRNGFloat64Range(t *testing.T) {
 func TestRNGRangeAndIntn(t *testing.T) {
 	r := NewRNG(7)
 	for i := 0; i < 1000; i++ {
-		v := r.Range(-3, 9)
-		if v < -3 || v >= 9 {
-			t.Fatalf("Range out of bounds: %v", v)
-		}
 		n := r.Intn(13)
 		if n < 0 || n >= 13 {
 			t.Fatalf("Intn out of bounds: %v", n)
@@ -304,23 +287,6 @@ func TestRNGLogNormalPositive(t *testing.T) {
 		if r.LogNormal(0, 1) <= 0 {
 			t.Fatal("LogNormal must be positive")
 		}
-	}
-}
-
-func TestRNGForkIndependence(t *testing.T) {
-	parent := NewRNG(42)
-	child := parent.Fork()
-	// The child stream should not replay the parent's.
-	p, c := NewRNG(42), child
-	diff := false
-	for i := 0; i < 10; i++ {
-		if p.Uint64() != c.Uint64() {
-			diff = true
-			break
-		}
-	}
-	if !diff {
-		t.Error("forked stream replays the parent")
 	}
 }
 

@@ -246,12 +246,6 @@ const (
 	bucketSuffix = ".power"
 )
 
-// PowerBucket renders the bucket a feed should use for a system's power
-// gauge — the write-side complement of systemOf.
-func PowerBucket(system string) string {
-	return bucketPrefix + system + bucketSuffix
-}
-
 // systemOf extracts the system segment from a power-plane bucket
 // without allocating (the result aliases the bucket). The second return
 // is false for buckets outside the fleet.<system>.power grammar.

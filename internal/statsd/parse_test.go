@@ -127,9 +127,6 @@ func TestSystemOf(t *testing.T) {
 			t.Errorf("systemOf(%q) = %q, %v; want %q, %v", tc.bucket, sys, ok, tc.system, tc.ok)
 		}
 	}
-	if PowerBucket("Frontier") != "fleet.Frontier.power" {
-		t.Errorf("PowerBucket: %q", PowerBucket("Frontier"))
-	}
 }
 
 // TestParseZeroAlloc pins the acceptance bar directly: parsing a

@@ -1,46 +1,12 @@
 package telemetry
 
 import (
-	"bytes"
 	"math"
 	"strings"
 	"testing"
 
 	"thirstyflops/internal/series"
 )
-
-// FuzzReadCSV hardens the log parser against malformed input: it must
-// either return an error or a log that validates — never panic, never
-// return garbage silently.
-func FuzzReadCSV(f *testing.F) {
-	f.Add("# system=x year=2023\nhour,power_w\n0,100.0\n1,200.0\n")
-	f.Add("")
-	f.Add("# system= year=\nhour,power_w\n")
-	f.Add("0,100\n1,abc\n")
-	f.Add("# system=a b c\n0,1\n")
-	f.Add(strings.Repeat("0,1\n", 100))
-	f.Fuzz(func(t *testing.T, data string) {
-		log, err := ReadCSV(strings.NewReader(data))
-		if err != nil {
-			return
-		}
-		if vErr := log.Validate(); vErr != nil {
-			t.Fatalf("ReadCSV returned invalid log without error: %v", vErr)
-		}
-		// Round-trip: what we parsed must re-serialize and re-parse.
-		var buf bytes.Buffer
-		if err := log.WriteCSV(&buf); err != nil {
-			t.Fatalf("re-serialize failed: %v", err)
-		}
-		back, err := ReadCSV(&buf)
-		if err != nil {
-			t.Fatalf("re-parse failed: %v", err)
-		}
-		if len(back.Samples) != len(log.Samples) {
-			t.Fatalf("round trip changed sample count: %d -> %d", len(log.Samples), len(back.Samples))
-		}
-	})
-}
 
 // FuzzDecodeSamples hardens the live-ingest decoder and the full ingest
 // path behind it: arbitrary bodies must never panic, and whatever

@@ -1,7 +1,7 @@
 // Package telemetry handles the power time series that anchor the
 // operational water footprint, in two forms. PowerLog is the batch form:
 // hourly IT power samples per system, energy aggregation, resampling,
-// and CSV/JSON round-trips compatible with external analysis — the paper
+// and CSV/JSON export for external analysis — the paper
 // consumes published log datasets (Marconi M100 exadata, ALCF public
 // data, Fugaku logs, Frontier energy dataset), and the jobs package
 // synthesizes equivalent series which flow through here. Stream is the
@@ -18,8 +18,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
 
 	"thirstyflops/internal/series"
 	"thirstyflops/internal/stats"
@@ -98,19 +96,6 @@ func (l PowerLog) Series(pue units.PUE, wue, ewf []units.LPerKWh,
 	return s, nil
 }
 
-// FromSeries extracts the energy channel of a timeline back into a power
-// log (hourly samples, so kWh and kW are numerically 1:1000 with W).
-func FromSeries(system string, year int, s series.Series) (PowerLog, error) {
-	if err := s.Validate(); err != nil {
-		return PowerLog{}, fmt.Errorf("telemetry: %w", err)
-	}
-	l := PowerLog{System: system, Year: year, Samples: make([]units.Watts, s.Len())}
-	for i, e := range s.Energy {
-		l.Samples[i] = units.Watts(float64(e) * 1e3)
-	}
-	return l, l.Validate()
-}
-
 // MeanPower is the average IT draw over the log.
 func (l PowerLog) MeanPower() units.Watts {
 	if len(l.Samples) == 0 {
@@ -145,7 +130,7 @@ func (l PowerLog) Resample(factor int) PowerLog {
 	return out
 }
 
-// --- CSV round trip ---
+// --- CSV export ---
 
 // WriteCSV emits the log as "hour,power_w" rows with a header comment
 // carrying the metadata.
@@ -165,68 +150,10 @@ func (l PowerLog) WriteCSV(w io.Writer) error {
 	return bw.Flush()
 }
 
-// ReadCSV parses a log written by WriteCSV.
-func ReadCSV(r io.Reader) (PowerLog, error) {
-	var l PowerLog
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	lineNo := 0
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		lineNo++
-		switch {
-		case line == "":
-			continue
-		case strings.HasPrefix(line, "#"):
-			for _, field := range strings.Fields(strings.TrimPrefix(line, "#")) {
-				k, v, ok := strings.Cut(field, "=")
-				if !ok {
-					continue
-				}
-				switch k {
-				case "system":
-					l.System = v
-				case "year":
-					y, err := strconv.Atoi(v)
-					if err != nil {
-						return PowerLog{}, fmt.Errorf("telemetry: line %d: bad year %q", lineNo, v)
-					}
-					l.Year = y
-				}
-			}
-		case line == "hour,power_w":
-			continue
-		default:
-			_, val, ok := strings.Cut(line, ",")
-			if !ok {
-				return PowerLog{}, fmt.Errorf("telemetry: line %d: malformed row %q", lineNo, line)
-			}
-			p, err := strconv.ParseFloat(val, 64)
-			if err != nil {
-				return PowerLog{}, fmt.Errorf("telemetry: line %d: bad power %q", lineNo, val)
-			}
-			l.Samples = append(l.Samples, units.Watts(p))
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return PowerLog{}, err
-	}
-	return l, l.Validate()
-}
-
-// --- JSON round trip ---
+// --- JSON export ---
 
 // WriteJSON emits the log as JSON.
 func (l PowerLog) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	return enc.Encode(l)
-}
-
-// ReadJSON parses a JSON log.
-func ReadJSON(r io.Reader) (PowerLog, error) {
-	var l PowerLog
-	if err := json.NewDecoder(r).Decode(&l); err != nil {
-		return PowerLog{}, err
-	}
-	return l, l.Validate()
 }

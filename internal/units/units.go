@@ -97,9 +97,6 @@ func (w Watts) String() string {
 // MW constructs Watts from a megawatt count.
 func MW(mw float64) Watts { return Watts(mw * 1e6) }
 
-// KW constructs Watts from a kilowatt count.
-func KW(kw float64) Watts { return Watts(kw * 1e3) }
-
 // EnergyOver returns the energy delivered by drawing power w for the given
 // number of hours.
 func (w Watts) EnergyOver(hours float64) KWh {
@@ -145,9 +142,6 @@ func (g GB) TB() float64 { return float64(g) / 1e3 }
 
 // PB converts to petabytes.
 func (g GB) PB() float64 { return float64(g) / 1e6 }
-
-// TBytes constructs GB from a terabyte count.
-func TBytes(tb float64) GB { return GB(tb * 1e3) }
 
 // PBytes constructs GB from a petabyte count.
 func PBytes(pb float64) GB { return GB(pb * 1e6) }

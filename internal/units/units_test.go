@@ -55,8 +55,8 @@ func TestWattsEnergyOver(t *testing.T) {
 	if !almostEqual(float64(got), 48000, 1e-9) {
 		t.Errorf("EnergyOver = %v, want 48000", got)
 	}
-	if !almostEqual(float64(KW(1).EnergyOver(1)), 1, 1e-12) {
-		t.Errorf("1kW over 1h = %v, want 1 kWh", KW(1).EnergyOver(1))
+	if !almostEqual(float64(Watts(1e3).EnergyOver(1)), 1, 1e-12) {
+		t.Errorf("1kW over 1h = %v, want 1 kWh", Watts(1e3).EnergyOver(1))
 	}
 }
 
@@ -66,7 +66,7 @@ func TestWattsString(t *testing.T) {
 		want string
 	}{
 		{Watts(500), "500.0 W"},
-		{KW(2.5), "2.50 kW"},
+		{Watts(2.5e3), "2.50 kW"},
 		{MW(21), "21.00 MW"},
 	}
 	for _, tt := range tests {
@@ -109,8 +109,8 @@ func TestAreaAndCapacity(t *testing.T) {
 	if !almostEqual(PBytes(679).PB(), 679, 1e-9) {
 		t.Errorf("PBytes(679).PB() = %v, want 679", PBytes(679).PB())
 	}
-	if !almostEqual(TBytes(1.5).TB(), 1.5, 1e-12) {
-		t.Errorf("TBytes(1.5).TB() = %v", TBytes(1.5).TB())
+	if !almostEqual(GB(1.5e3).TB(), 1.5, 1e-12) {
+		t.Errorf("GB(1500).TB() = %v", GB(1.5e3).TB())
 	}
 	if got := PBytes(679).String(); got != "679.0 PB" {
 		t.Errorf("String() = %q, want 679.0 PB", got)

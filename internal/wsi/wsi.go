@@ -13,7 +13,6 @@ package wsi
 
 import (
 	"fmt"
-	"sort"
 
 	"thirstyflops/internal/fingerprint"
 	"thirstyflops/internal/stats"
@@ -55,13 +54,6 @@ func SiteWSI(site string) (units.WSI, error) {
 		}
 	}
 	return 0, fmt.Errorf("wsi: unknown site %q", site)
-}
-
-// Sites returns all known site factors sorted by name.
-func Sites() []SiteFactor {
-	out := append([]SiteFactor(nil), siteFactors...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Site < out[j].Site })
-	return out
 }
 
 // --- Direct / indirect composition (Fig. 9) ---
@@ -169,13 +161,6 @@ var stateWSITable = []StateWSI{
 	{"OK", 6}, {"OR", 2.5}, {"PA", 0.6}, {"RI", 0.5}, {"SC", 0.6},
 	{"SD", 4}, {"TN", 0.5}, {"TX", 18}, {"UT", 40}, {"VT", 0.2},
 	{"VA", 0.7}, {"WA", 1.8}, {"WV", 0.3}, {"WI", 0.8}, {"WY", 15},
-}
-
-// StateIndices returns the AWARE-US state table sorted by postal code.
-func StateIndices() []StateWSI {
-	out := append([]StateWSI(nil), stateWSITable...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Code < out[j].Code })
-	return out
 }
 
 // StateIndex looks up one state's scarcity index.

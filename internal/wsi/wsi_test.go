@@ -35,18 +35,6 @@ func TestLemontHighestAmongPaperSites(t *testing.T) {
 	}
 }
 
-func TestSitesSorted(t *testing.T) {
-	ss := Sites()
-	if len(ss) < 6 {
-		t.Fatalf("too few sites: %d", len(ss))
-	}
-	for i := 1; i < len(ss); i++ {
-		if ss[i-1].Site >= ss[i].Site {
-			t.Fatal("sites not sorted")
-		}
-	}
-}
-
 func TestProfileValidate(t *testing.T) {
 	good := Profile{
 		Direct: 0.5,
@@ -167,16 +155,15 @@ func TestIndirectBoundedProperty(t *testing.T) {
 }
 
 func TestStateIndices(t *testing.T) {
-	states := StateIndices()
-	if len(states) != 50 {
-		t.Fatalf("state count = %d, want 50", len(states))
+	if len(stateWSITable) != 50 {
+		t.Fatalf("state count = %d, want 50", len(stateWSITable))
 	}
-	for i := 1; i < len(states); i++ {
-		if states[i-1].Code >= states[i].Code {
-			t.Fatal("not sorted")
+	seen := make(map[string]bool, len(stateWSITable))
+	for _, s := range stateWSITable {
+		if seen[s.Code] {
+			t.Errorf("%s listed twice", s.Code)
 		}
-	}
-	for _, s := range states {
+		seen[s.Code] = true
 		if s.Index < 0.1 || s.Index > 100 {
 			t.Errorf("%s: index %v outside the AWARE-US 0.1-100 scale", s.Code, s.Index)
 		}

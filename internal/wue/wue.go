@@ -215,36 +215,3 @@ func (t Tower) YearBalance(itEnergy []units.KWh, pue units.PUE, wetBulbs []units
 	}
 	return total, nil
 }
-
-// AnnualStats summarizes a WUE series the way the paper's Fig. 6(b)
-// box-plots do.
-type AnnualStats struct {
-	Min, Median, Mean, Max float64
-}
-
-// Summarize computes annual statistics over a WUE series.
-func Summarize(series []units.LPerKWh) AnnualStats {
-	if len(series) == 0 {
-		return AnnualStats{}
-	}
-	fs := make([]float64, len(series))
-	for i, v := range series {
-		fs[i] = float64(v)
-	}
-	return AnnualStats{
-		Min:    stats.Min(fs),
-		Median: stats.Median(fs),
-		Mean:   stats.Mean(fs),
-		Max:    stats.Max(fs),
-	}
-}
-
-// Range returns max - min of the series, used to compare the temporal
-// variation of WUE against EWF (Takeaway 4).
-func (a AnnualStats) Range() float64 { return a.Max - a.Min }
-
-// RoundTo rounds a WUE value to n decimal places for reporting.
-func RoundTo(v units.LPerKWh, n int) units.LPerKWh {
-	p := math.Pow(10, float64(n))
-	return units.LPerKWh(math.Round(float64(v)*p) / p)
-}

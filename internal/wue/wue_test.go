@@ -176,31 +176,6 @@ func TestImpliedWUEScaleInvariant(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	s := Summarize([]units.LPerKWh{1, 3, 2, 4})
-	if s.Min != 1 || s.Max != 4 {
-		t.Errorf("min/max = %v/%v, want 1/4", s.Min, s.Max)
-	}
-	if math.Abs(s.Mean-2.5) > 1e-12 {
-		t.Errorf("mean = %v, want 2.5", s.Mean)
-	}
-	if math.Abs(s.Median-2.5) > 1e-12 {
-		t.Errorf("median = %v, want 2.5", s.Median)
-	}
-	if s.Range() != 3 {
-		t.Errorf("range = %v, want 3", s.Range())
-	}
-	if z := Summarize(nil); z != (AnnualStats{}) {
-		t.Errorf("empty summarize should be zero, got %+v", z)
-	}
-}
-
-func TestRoundTo(t *testing.T) {
-	if got := RoundTo(10.5949, 2); math.Abs(float64(got)-10.59) > 1e-12 {
-		t.Errorf("RoundTo = %v, want 10.59", got)
-	}
-}
-
 func TestAnnualWUEOverRealClimatology(t *testing.T) {
 	// Integration: the default curve over the four sites should produce
 	// annual mean WUE in a plausible 1.5-5 L/kWh band with ranges wide
@@ -208,15 +183,15 @@ func TestAnnualWUEOverRealClimatology(t *testing.T) {
 	c := DefaultCurve()
 	for name, site := range weather.Sites() {
 		yr := site.HourlyYear(42)
-		s := Summarize(c.Series(weather.WetBulbSeries(yr)))
-		if s.Mean < 1.0 || s.Mean > 6.0 {
-			t.Errorf("%s: annual mean WUE %v outside plausible band", name, s.Mean)
+		s := c.SeriesFloat(weather.WetBulbSeries(yr))
+		if mean := stats.Mean(s); mean < 1.0 || mean > 6.0 {
+			t.Errorf("%s: annual mean WUE %v outside plausible band", name, mean)
 		}
-		if s.Range() < 4 {
-			t.Errorf("%s: WUE annual range %v too narrow for Fig 6(b) shape", name, s.Range())
+		if r := stats.Max(s) - stats.Min(s); r < 4 {
+			t.Errorf("%s: WUE annual range %v too narrow for Fig 6(b) shape", name, r)
 		}
-		if s.Min < float64(c.Floor)-1e-9 {
-			t.Errorf("%s: WUE min %v below floor", name, s.Min)
+		if m := stats.Min(s); m < float64(c.Floor)-1e-9 {
+			t.Errorf("%s: WUE min %v below floor", name, m)
 		}
 	}
 }

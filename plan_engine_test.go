@@ -284,8 +284,11 @@ func BenchmarkPlanBuild(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p := plan.Build(items, 8)
-		if p.Items() != len(items) {
+		n := 0
+		for _, span := range plan.Build(items, 8).Spans {
+			n += len(span)
+		}
+		if n != len(items) {
 			b.Fatal("plan dropped items")
 		}
 	}
