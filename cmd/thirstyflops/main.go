@@ -1,7 +1,8 @@
 // Command thirstyflops estimates the water footprint of an HPC system:
 // embodied breakdown, a simulated year of operation (direct/indirect
 // water, carbon), scarcity-adjusted intensities, scenario sweeps, and
-// withdrawal accounting.
+// withdrawal accounting. It is a client of the library's Engine: -json
+// prints the same AssessResult as the daemon's POST /assess.
 //
 // Usage:
 //
@@ -12,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -19,8 +21,8 @@ import (
 	"os"
 	"strings"
 
+	"thirstyflops"
 	"thirstyflops/internal/configio"
-	"thirstyflops/internal/core"
 	"thirstyflops/internal/embodied"
 	"thirstyflops/internal/report"
 	"thirstyflops/internal/units"
@@ -33,21 +35,6 @@ func main() {
 	}
 }
 
-// jsonReport is the machine-readable output shape.
-type jsonReport struct {
-	System            string             `json:"system"`
-	Years             float64            `json:"years"`
-	EnergyKWh         float64            `json:"energy_kwh_per_year"`
-	DirectL           float64            `json:"direct_l_per_year"`
-	IndirectL         float64            `json:"indirect_l_per_year"`
-	EmbodiedL         float64            `json:"embodied_l"`
-	LifetimeTotalL    float64            `json:"lifetime_total_l"`
-	CarbonKg          float64            `json:"carbon_kg_per_year"`
-	WaterIntensity    float64            `json:"water_intensity_l_per_kwh"`
-	AdjustedIntensity float64            `json:"wsi_adjusted_intensity_l_per_kwh"`
-	EmbodiedShares    map[string]float64 `json:"embodied_shares"`
-}
-
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("thirstyflops", flag.ContinueOnError)
 	var (
@@ -55,29 +42,34 @@ func run(args []string, out io.Writer) error {
 		configPath = fs.String("config", "", "JSON document describing a custom system")
 		list       = fs.Bool("list", false, "list bundled systems and exit")
 		years      = fs.Float64("years", 6, "system lifetime in years")
-		seed       = fs.Uint64("seed", 42, "simulation seed")
+		seed       = fs.Uint64("seed", 42, "simulation seed (a -config document keeps its own unless given)")
 		scenarios  = fs.Bool("scenarios", false, "include the energy-sourcing scenario sweep")
 		withdrawal = fs.Bool("withdrawal", false, "include withdrawal accounting")
-		asJSON     = fs.Bool("json", false, "emit machine-readable JSON")
+		asJSON     = fs.Bool("json", false, "emit the AssessResult as JSON")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
 	if *list {
+		cs, err := thirstyflops.AllSystemConfigs()
+		if err != nil {
+			return err
+		}
 		fmt.Fprintln(out, "bundled systems:")
-		for _, c := range mustConfigs() {
+		for _, c := range cs {
 			fmt.Fprintf(out, "  %-9s %s, %s (PUE %.2f, %d nodes)\n",
 				c.System.Name, c.System.SiteName, c.Region.Name,
 				float64(c.System.PUE), c.System.Nodes)
 		}
 		return nil
 	}
+	// The Engine reads a zero lifetime as its default; here it is an error.
 	if *years <= 0 {
 		return fmt.Errorf("-years must be positive")
 	}
 
-	var cfg core.Config
+	req := thirstyflops.AssessRequest{Years: *years, Scenarios: *scenarios, Withdrawal: *withdrawal}
 	switch {
 	case *system != "" && *configPath != "":
 		return fmt.Errorf("-system and -config are mutually exclusive")
@@ -87,22 +79,41 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 		defer f.Close()
-		cfg, err = configio.Load(f)
+		doc, err := configio.Decode(f)
 		if err != nil {
 			return err
 		}
+		req.Custom = &doc
+		fs.Visit(func(f *flag.Flag) {
+			if f.Name == "seed" {
+				req.Seed = seed
+			}
+		})
 	case *system != "":
-		var err error
-		cfg, err = core.ConfigFor(*system)
-		if err != nil {
-			return err
-		}
-		cfg.Seed = *seed
+		req.System = *system
+		req.Seed = seed
 	default:
 		return fmt.Errorf("no -system or -config given (try -list)")
 	}
 
-	a, err := cfg.Assess()
+	res, err := thirstyflops.NewEngine().Assess(context.Background(), req)
+	if err != nil {
+		return err
+	}
+	if *asJSON {
+		enc := json.NewEncoder(out)
+		enc.SetIndent("", "  ")
+		return enc.Encode(res)
+	}
+
+	// An AssessResult carries neither the site WSI nor the per-component
+	// embodied litres; the text view reads them from the configuration.
+	var cfg thirstyflops.Config
+	if req.Custom != nil {
+		cfg, err = thirstyflops.BuildConfig(*req.Custom)
+	} else {
+		cfg, err = thirstyflops.SystemConfig(req.System)
+	}
 	if err != nil {
 		return err
 	}
@@ -110,42 +121,19 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	f, err := cfg.Lifetime(*years)
-	if err != nil {
-		return err
-	}
-	_, _, wi := a.WaterIntensity()
-	adj := a.AdjustedWaterIntensity(cfg.Scarcity)
 
-	if *asJSON {
-		rep := jsonReport{
-			System:            a.System,
-			Years:             *years,
-			EnergyKWh:         float64(a.Energy),
-			DirectL:           float64(a.Direct),
-			IndirectL:         float64(a.Indirect),
-			EmbodiedL:         float64(bd.Total()),
-			LifetimeTotalL:    float64(f.Total()),
-			CarbonKg:          a.Carbon.Kilograms(),
-			WaterIntensity:    float64(wi),
-			AdjustedIntensity: float64(adj),
-			EmbodiedShares:    bd.Shares(),
-		}
-		enc := json.NewEncoder(out)
-		enc.SetIndent("", "  ")
-		return enc.Encode(rep)
-	}
-
-	fmt.Fprintf(out, "ThirstyFLOPS assessment: %s (%s)\n", a.System, cfg.Site.Name)
+	direct, indirect := units.Liters(res.DirectL), units.Liters(res.IndirectL)
+	fmt.Fprintf(out, "ThirstyFLOPS assessment: %s (%s)\n", res.System, res.Site)
 	fmt.Fprintln(out, strings.Repeat("=", 50))
-	fmt.Fprintf(out, "annual IT energy        %v\n", a.Energy)
-	fmt.Fprintf(out, "annual direct water     %v (%s)\n", a.Direct, report.Pct(a.DirectShare()))
-	fmt.Fprintf(out, "annual indirect water   %v (%s)\n", a.Indirect, report.Pct(1-a.DirectShare()))
-	fmt.Fprintf(out, "annual carbon           %v\n", a.Carbon)
-	fmt.Fprintf(out, "water intensity         %v\n", wi)
-	fmt.Fprintf(out, "WSI-adjusted intensity  %v (site WSI %.2f)\n", adj, float64(cfg.Scarcity.Direct))
+	fmt.Fprintf(out, "annual IT energy        %v\n", units.KWh(res.EnergyKWh))
+	fmt.Fprintf(out, "annual direct water     %v (%s)\n", direct, report.Pct(res.DirectShare))
+	fmt.Fprintf(out, "annual indirect water   %v (%s)\n", indirect, report.Pct(1-res.DirectShare))
+	fmt.Fprintf(out, "annual carbon           %v\n", units.GramsCO2(res.CarbonKg*1e3))
+	fmt.Fprintf(out, "water intensity         %v\n", units.LPerKWh(res.WaterIntensity))
+	fmt.Fprintf(out, "WSI-adjusted intensity  %v (site WSI %.2f)\n",
+		units.LPerKWh(res.AdjustedIntensity), float64(cfg.Scarcity.Direct))
 	fmt.Fprintln(out)
-	fmt.Fprintf(out, "embodied footprint      %v\n", bd.Total())
+	fmt.Fprintf(out, "embodied footprint      %v\n", units.Liters(res.EmbodiedL))
 	for _, c := range embodied.Components() {
 		if bd.Of(c) == 0 {
 			continue
@@ -154,26 +142,18 @@ func run(args []string, out io.Writer) error {
 	}
 	fmt.Fprintln(out)
 	fmt.Fprintf(out, "lifetime (%.0f years)     total %v = embodied %v + direct %v + indirect %v\n",
-		*years, f.Total(), f.Embodied, f.Direct, f.Indirect)
+		res.Years, units.Liters(res.LifetimeTotalL), units.Liters(res.EmbodiedL),
+		direct*units.Liters(res.Years), indirect*units.Liters(res.Years))
 
 	if *scenarios {
-		rs, err := cfg.ScenarioSweep()
-		if err != nil {
-			return err
-		}
 		fmt.Fprintln(out, "\nenergy-sourcing scenarios (savings vs current mix):")
-		for _, r := range rs {
+		for _, r := range res.Scenarios {
 			fmt.Fprintf(out, "  %-38s water %6s   carbon %6s\n",
 				r.Scenario, report.Signed(r.WaterSavingPct), report.Signed(r.CarbonSavingPct))
 		}
 	}
 
-	if *withdrawal {
-		discharge := units.Liters(float64(a.Direct) / 3)
-		w, err := core.ComputeWithdrawal(a.Operational(), core.DefaultWithdrawalParams(discharge))
-		if err != nil {
-			return err
-		}
+	if w := res.Withdrawal; w != nil {
 		fmt.Fprintln(out, "\nwithdrawal accounting (default contract):")
 		fmt.Fprintf(out, "  consumption        %v\n", w.Consumption)
 		fmt.Fprintf(out, "  adjusted discharge %v\n", w.AdjustedDischarge)
@@ -182,12 +162,4 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "  scarcity-weighted  %v\n", w.ScarcityWeighted)
 	}
 	return nil
-}
-
-func mustConfigs() []core.Config {
-	cs, err := core.AllConfigs()
-	if err != nil {
-		panic(err)
-	}
-	return cs
 }

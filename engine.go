@@ -882,8 +882,8 @@ func (e *Engine) assessResolved(ctx context.Context, req AssessRequest, cfg *res
 	if years == 0 {
 		years = DefaultLifetimeYears
 	}
-	if years < 0 {
-		return nil, fmt.Errorf("thirstyflops: negative lifetime %v", years)
+	if years < 0 || math.IsNaN(years) || math.IsInf(years, 0) {
+		return nil, fmt.Errorf("thirstyflops: lifetime %v is not a finite, non-negative number of years", years)
 	}
 
 	var (
@@ -954,8 +954,7 @@ func (e *Engine) assessResolved(ctx context.Context, req AssessRequest, cfg *res
 		res.Scenarios = rs
 	}
 	if req.Withdrawal {
-		discharge := Liters(float64(a.Direct) / 3)
-		w, err := core.ComputeWithdrawal(a.Operational(), core.DefaultWithdrawalParams(discharge))
+		w, err := a.DefaultWithdrawal()
 		if err != nil {
 			return nil, err
 		}

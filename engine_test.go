@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"runtime/debug"
 	"strings"
 	"sync"
@@ -338,8 +339,10 @@ func TestEngineRequestValidation(t *testing.T) {
 	if _, err := eng.Assess(ctx, AssessRequest{System: "HAL9000"}); err == nil {
 		t.Error("unknown system accepted")
 	}
-	if _, err := eng.Assess(ctx, AssessRequest{System: "Marconi", Years: -1}); err == nil {
-		t.Error("negative lifetime accepted")
+	for _, years := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := eng.Assess(ctx, AssessRequest{System: "Marconi", Years: years}); err == nil {
+			t.Errorf("lifetime %v accepted", years)
+		}
 	}
 }
 

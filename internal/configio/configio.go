@@ -111,15 +111,16 @@ func catalogProcessors() map[string]hardware.Processor {
 	return out
 }
 
-// Load parses a JSON document and assembles a validated core.Config.
-func Load(r io.Reader) (core.Config, error) {
+// Decode parses one JSON document strictly: an unknown field is an
+// error. Build turns the result into a validated core.Config.
+func Decode(r io.Reader) (Document, error) {
 	var doc Document
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&doc); err != nil {
-		return core.Config{}, fmt.Errorf("configio: %w", err)
+		return Document{}, fmt.Errorf("configio: %w", err)
 	}
-	return Build(doc)
+	return doc, nil
 }
 
 // Build assembles a validated core.Config from a parsed document.

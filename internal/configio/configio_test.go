@@ -1,9 +1,21 @@
 package configio
 
 import (
+	"io"
 	"strings"
 	"testing"
+
+	"thirstyflops/internal/core"
 )
+
+// load is the loader's whole path: the strict Decode, then Build.
+func load(r io.Reader) (core.Config, error) {
+	doc, err := Decode(r)
+	if err != nil {
+		return core.Config{}, err
+	}
+	return Build(doc)
+}
 
 const validDoc = `{
   "system": {
@@ -25,7 +37,7 @@ const validDoc = `{
 }`
 
 func TestLoadValidDocument(t *testing.T) {
-	cfg, err := Load(strings.NewReader(validDoc))
+	cfg, err := load(strings.NewReader(validDoc))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +85,7 @@ func TestInlineProcessorAndSite(t *testing.T) {
 	  "region": "Texas",
 	  "wsi": 0.8
 	}`
-	cfg, err := Load(strings.NewReader(doc))
+	cfg, err := load(strings.NewReader(doc))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +119,7 @@ func TestDemandAndEmbodiedOverrides(t *testing.T) {
 	  "yield": 0.7,
 	  "fab_ewf_l_per_kwh": 3.5
 	}`
-	cfg, err := Load(strings.NewReader(doc))
+	cfg, err := load(strings.NewReader(doc))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +144,7 @@ func TestLoadRejects(t *testing.T) {
 		"no name":         `{"system":{"nodes":1,"cpu":{"catalog":"Fujitsu A64FX"},"cpus_per_node":1,"dram_gb_per_node":1,"peak_power_mw":1,"pue":1.1},"site_name":"Kobe","region":"Japan"}`,
 	}
 	for name, doc := range cases {
-		if _, err := Load(strings.NewReader(doc)); err == nil {
+		if _, err := load(strings.NewReader(doc)); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
@@ -140,7 +152,7 @@ func TestLoadRejects(t *testing.T) {
 
 func TestDefaultSeed(t *testing.T) {
 	doc := strings.Replace(validDoc, `"seed": 7`, `"seed": 0`, 1)
-	cfg, err := Load(strings.NewReader(doc))
+	cfg, err := load(strings.NewReader(doc))
 	if err != nil {
 		t.Fatal(err)
 	}

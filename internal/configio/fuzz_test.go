@@ -5,8 +5,9 @@ import (
 	"testing"
 )
 
-// FuzzLoad hardens the JSON config loader: arbitrary input must either
-// error cleanly or produce a configuration that validates end to end.
+// FuzzLoad hardens the JSON config loader (Decode, then Build): arbitrary
+// input must either error cleanly or produce a configuration that
+// validates end to end.
 func FuzzLoad(f *testing.F) {
 	f.Add(validDoc)
 	f.Add(`{}`)
@@ -15,12 +16,12 @@ func FuzzLoad(f *testing.F) {
 	f.Add(`[1,2,3]`)
 	f.Add(`{"system":{"name":"x","nodes":1,"cpu":{"dies":[{"area_mm2":-1}]}}}`)
 	f.Fuzz(func(t *testing.T, data string) {
-		cfg, err := Load(strings.NewReader(data))
+		cfg, err := load(strings.NewReader(data))
 		if err != nil {
 			return
 		}
 		if vErr := cfg.Validate(); vErr != nil {
-			t.Fatalf("Load returned invalid config without error: %v", vErr)
+			t.Fatalf("Decode and Build returned invalid config without error: %v", vErr)
 		}
 	})
 }

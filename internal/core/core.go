@@ -322,15 +322,6 @@ func (a Annual) AdjustedWaterIntensity(p wsi.Profile) units.LPerKWh {
 	return p.AdjustedIntensity(d, i)
 }
 
-// HourlyWaterIntensity returns the WI(t) series (Eq. 8 per hour), the
-// input to the Fig. 13 start-time ranking.
-//
-// Deprecated: use a.Hourly.WaterIntensity(), or pass a.Hourly directly to
-// consumers that accept a series.Series.
-func (a Annual) HourlyWaterIntensity() []units.LPerKWh {
-	return a.Hourly.WaterIntensity()
-}
-
 // Monthly aggregates for the Fig. 11/12 time-series comparisons.
 type Monthly struct {
 	Energy          []float64 // monthly IT energy, kWh
@@ -425,13 +416,6 @@ func (c Config) Lifetime(years float64) (Footprint, error) {
 	if err != nil {
 		return Footprint{}, err
 	}
-	return c.LifetimeFrom(a, years)
-}
-
-// LifetimeFrom scales an already-assessed year to the given lifetime and
-// adds the one-time embodied footprint, so cached assessments (the Engine
-// path) avoid re-simulation.
-func (c Config) LifetimeFrom(a Annual, years float64) (Footprint, error) {
 	b, err := c.EmbodiedBreakdown()
 	if err != nil {
 		return Footprint{}, err

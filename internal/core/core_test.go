@@ -259,19 +259,6 @@ func TestWaterIntensityComposition(t *testing.T) {
 	}
 }
 
-func TestHourlyWaterIntensity(t *testing.T) {
-	a := mustAssess(t, "Frontier")
-	wi := a.HourlyWaterIntensity()
-	if len(wi) != a.Hourly.Len() {
-		t.Fatal("length mismatch")
-	}
-	h := 1234
-	want := float64(a.Hourly.WUE[h]) + float64(a.Hourly.PUE)*float64(a.Hourly.EWF[h])
-	if math.Abs(float64(wi[h])-want) > 1e-12 {
-		t.Errorf("WI[%d] = %v, want %v", h, wi[h], want)
-	}
-}
-
 func TestFig11EnergyWaterCorrelateImperfectly(t *testing.T) {
 	for _, name := range []string{"Marconi", "Fugaku", "Polaris", "Frontier"} {
 		m := mustAssess(t, name).Monthly()

@@ -96,3 +96,12 @@ func ComputeWithdrawal(consumption units.Liters, p WithdrawalParams) (Withdrawal
 		ScarcityWeighted:  units.Liters(float64(gross) * weight),
 	}, nil
 }
+
+// DefaultWithdrawal derives a's withdrawal under the default contract
+// (DefaultWithdrawalParams). The discharge is cooling-tower blowdown at 4
+// cycles of concentration: blowdown is evaporation / (cycles - 1), a third
+// of the year's direct (evaporated) water.
+func (a Annual) DefaultWithdrawal() (Withdrawal, error) {
+	discharge := units.Liters(float64(a.Direct) / 3)
+	return ComputeWithdrawal(a.Operational(), DefaultWithdrawalParams(discharge))
+}

@@ -7,7 +7,6 @@ import (
 	"thirstyflops/internal/core"
 	"thirstyflops/internal/hardware"
 	"thirstyflops/internal/report"
-	"thirstyflops/internal/units"
 )
 
 // Table1 regenerates the paper's Table 1: the supercomputers used in the
@@ -88,8 +87,7 @@ func Table3() (Output, error) {
 	if err != nil {
 		return Output{}, err
 	}
-	discharge := units.Liters(float64(a.Direct) / 3) // blowdown at 4 cycles of concentration
-	w, err := core.ComputeWithdrawal(a.Operational(), core.DefaultWithdrawalParams(discharge))
+	w, err := a.DefaultWithdrawal()
 	if err != nil {
 		return Output{}, err
 	}
