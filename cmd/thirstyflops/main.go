@@ -30,9 +30,19 @@ import (
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "thirstyflops:", err)
+		fmt.Fprintln(os.Stderr, errorLine(err))
 		os.Exit(1)
 	}
+}
+
+// errorLine prefixes err with the command name once: Engine errors
+// already carry it.
+func errorLine(err error) string {
+	msg := err.Error()
+	if !strings.HasPrefix(msg, "thirstyflops: ") {
+		msg = "thirstyflops: " + msg
+	}
+	return msg
 }
 
 func run(args []string, out io.Writer) error {

@@ -204,6 +204,13 @@ func TestErrors(t *testing.T) {
 	}
 	if _, err := runCLI(t, "-system", "HAL9000"); err == nil {
 		t.Error("unknown system should error")
+	} else if got, want := errorLine(err), `thirstyflops: hardware: unknown system "HAL9000"`; got != want {
+		t.Errorf("error line = %q, want %q", got, want)
+	}
+	if _, err := runCLI(t, "-system", "Frontier", "-years", "NaN"); err == nil {
+		t.Error("-years NaN should error")
+	} else if got, want := errorLine(err), "thirstyflops: lifetime NaN is not a finite, non-negative number of years"; got != want {
+		t.Errorf("error line = %q, want %q (one prefix)", got, want)
 	}
 	for _, years := range []string{"-1", "NaN", "Inf", "+Inf", "-Inf"} {
 		if _, err := runCLI(t, "-system", "Frontier", "-years", years); err == nil {

@@ -998,9 +998,9 @@ func (e *Engine) assessSafe(ctx context.Context, req AssessRequest, cfg *resolve
 // Execution order is the batch scheduler's (internal/gang): requests
 // are fingerprinted by substrate identity (core.Config.SubstrateKeys),
 // merged with any other batch arriving within the WithGangWindow
-// window, grouped, clustered by shared components, and split into
-// contiguous per-worker spans (internal/plan). Results are always
-// returned in request order regardless of execution order.
+// window, grouped and clustered by shared components (internal/plan);
+// workers claim the groups one at a time. Results are always returned
+// in request order regardless of execution order.
 func (e *Engine) AssessBatch(ctx context.Context, reqs []AssessRequest, onResult func(i int, res *AssessResult, err error)) ([]*AssessResult, error) {
 	results := make([]*AssessResult, len(reqs))
 	errs := make([]error, len(reqs))

@@ -130,7 +130,7 @@ func (b *batch) exec(pos int, crossJob bool) bool {
 }
 
 // New builds a scheduler merging batches that arrive within window of a
-// round opening, planning each round for up to workers parallel spans.
+// round opening, running each round on up to workers goroutines.
 // A non-positive window merges nothing: each batch runs as its own round
 // on the submitting goroutine, with no timer and no pending list — plain
 // per-batch planning.
@@ -249,18 +249,23 @@ func (s *Scheduler) execute(round []item) {
 		}
 	}
 
-	workers := min(s.workers, len(round))
-	p := plan.Build(merged, workers)
+	// Workers claim groups from one cursor: a worker stuck on a slow
+	// group holds back only that group, and each group still runs on
+	// one worker, front to back.
+	p := plan.Build(merged, min(s.workers, len(round)))
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	for _, span := range p.Spans {
+	for range min(s.workers, len(p.Groups)) {
 		wg.Add(1)
-		go func(span []int) {
+		go func() {
 			defer wg.Done()
-			for _, mi := range span {
-				it := round[mi]
-				it.b.exec(it.pos, crossJob[it.b.items[it.pos].Substrate])
+			for g := next.Add(1) - 1; g < int64(len(p.Groups)); g = next.Add(1) - 1 {
+				cj := crossJob[p.Groups[g].Substrate]
+				for _, mi := range p.Groups[g].Indexes {
+					round[mi].b.exec(round[mi].pos, cj)
+				}
 			}
-		}(span)
+		}()
 	}
 	wg.Wait()
 }

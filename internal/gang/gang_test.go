@@ -146,7 +146,7 @@ func TestCancellationIsolation(t *testing.T) {
 				return
 			}
 			// First unit stalls until released, holding the single
-			// worker mid-span.
+			// worker mid-group.
 			if i == 0 {
 				close(started)
 				<-release
@@ -281,5 +281,53 @@ func TestConcurrencySoak(t *testing.T) {
 	st := s.Stats()
 	if executed.Load() != st.Units {
 		t.Fatalf("executed %d units, submitted %d", executed.Load(), st.Units)
+	}
+}
+
+// TestStalledGroupDoesNotStrandOthers: workers claim groups one at a
+// time, so a worker stuck on a slow group holds back only that group.
+// The first group's first unit blocks until every unit of the five other
+// groups has run, which a static per-worker partition never allows: the
+// groups queued behind the stalled one on its worker would wait for it.
+// The block is bounded, so a stranding schedule fails instead of
+// hanging. Every group's units must also run one at a time, in arrival
+// order.
+func TestStalledGroupDoesNotStrandOthers(t *testing.T) {
+	const groups, perGroup = 6, 3
+	items := itemsFor(groups*perGroup, 0, 1, 2, 3, 4, 5) // unit i is in group i%groups
+	stall := plan.Build(items, 2).Groups[0].Indexes[0]
+
+	var inFlight, last [groups]atomic.Int32
+	for g := range last {
+		last[g].Store(-1)
+	}
+	var others atomic.Int32
+	othersDone := make(chan struct{})
+	stranded := int32(-1) // units of the other groups run when the bound expired
+	New(0, 2).Submit(context.Background(), items, func(i int, _ bool) {
+		g := i % groups
+		if inFlight[g].Add(1) != 1 {
+			t.Errorf("group %d runs two units at once", g)
+		}
+		defer inFlight[g].Add(-1)
+		if prev := last[g].Swap(int32(i)); prev >= int32(i) {
+			t.Errorf("group %d ran unit %d after unit %d", g, i, prev)
+		}
+		switch {
+		case i == stall:
+			select {
+			case <-othersDone:
+			case <-time.After(5 * time.Second):
+				stranded = others.Load()
+			}
+		case g != stall%groups:
+			if others.Add(1) == (groups-1)*perGroup {
+				close(othersDone)
+			}
+		}
+	})
+	if stranded >= 0 {
+		t.Fatalf("only %d of %d units of the other groups ran while one group stalled",
+			stranded, (groups-1)*perGroup)
 	}
 }

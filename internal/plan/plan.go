@@ -9,27 +9,29 @@
 // The planner removes that interleaving. It groups the batch by combined
 // substrate fingerprint, clusters groups that share expensive components
 // (same grid year, then same WUE/wet-bulb year, then same utilization
-// year) next to each other, and partitions the group sequence into
-// contiguous per-worker spans. Two invariants follow:
+// year) next to each other, and chunks any group wider than one worker's
+// balanced share. Who runs which group is the executor's business: the
+// gang scheduler (internal/gang) hands groups to workers one at a time,
+// so two invariants follow:
 //
-//   - Requests sharing a substrate run consecutively, and a substrate
-//     is split across workers only when it is wider than one worker's
-//     balanced share (its chunks then run on neighboring workers
-//     concurrently, collapsed by the cache's singleflight), so at most
-//     ~`workers` distinct substrates are live at any moment regardless
-//     of batch size or arrival order.
+//   - Requests sharing a substrate run consecutively on one worker, and
+//     a substrate is split across workers only when it is wider than
+//     ceil(n/workers) (its chunks stay adjacent, so they run
+//     concurrently and the cache's singleflight collapses their
+//     generation), so at most `workers` distinct substrates are live at
+//     any moment regardless of batch size or arrival order.
 //   - With a substrate cache that holds at least one year per worker,
 //     planned execution generates each distinct year exactly once per
-//     sweep (the property internal/plan's tests and the engine's
-//     planner benchmarks assert).
+//     sweep (the property the engine's planner tests and benchmarks
+//     assert).
 //
-// The package is deliberately ignorant of what an item is: callers
-// (Engine.AssessMany, the daemon's job queue) supply batch indices and
-// fingerprints, and get back an execution schedule over those indices.
+// The package is deliberately ignorant of what an item is: its caller
+// (internal/gang, for every Engine batch path) supplies batch indices
+// and fingerprints, and gets back the ordered groups over those indices.
 package plan
 
 import (
-	"sort"
+	"slices"
 
 	"thirstyflops/internal/fingerprint"
 )
@@ -38,7 +40,7 @@ import (
 // plus the substrate identity its execution will touch (typically
 // core.Config.SubstrateKeys -> Combined/Cluster).
 type Item struct {
-	// Index is the caller's batch position; Build's output spans are
+	// Index is the caller's batch position; Build's output groups are
 	// sequences of these indices.
 	Index int
 	// Substrate is the combined substrate identity: items with equal
@@ -59,113 +61,51 @@ type Group struct {
 	Indexes []int
 }
 
-// Plan is an execution schedule: per-worker ordered spans of batch
-// indices. Every input index appears in exactly one span, and span
-// items sharing a substrate are consecutive. A group is split across
-// spans only when it is larger than the balanced span size — one giant
-// group must not serialize the whole batch on a single worker — and its
-// chunks land on neighboring workers, where the substrate cache's
-// singleflight collapses their concurrent generation.
+// Plan is an execution schedule: the ordered group sequence. Every
+// input index appears in exactly one group. A substrate wider than
+// ceil(n/workers) appears as several adjacent chunks — one giant group
+// must not serialize the whole batch on a single worker — so len(Groups)
+// can exceed the distinct substrate count.
 type Plan struct {
-	// Spans holds one ordered index sequence per worker. Workers execute
-	// their span front to back; spans are balanced by item count.
-	Spans [][]int
-	// Groups records the scheduled group sequence (concatenating the
-	// groups yields the concatenated spans). A substrate wider than the
-	// balanced span size appears as several adjacent chunks, so
-	// len(Groups) can exceed the distinct substrate count.
 	Groups []Group
-}
-
-// compareCluster orders two component-key vectors lexicographically.
-func compareCluster(a, b [4]fingerprint.Key) int {
-	for i := range a {
-		if c := a[i].Compare(b[i]); c != 0 {
-			return c
-		}
-	}
-	return 0
 }
 
 // Build computes the schedule for a batch across the given worker count.
 // Grouping is stable: within a group, items keep their arrival order.
-// Groups are sorted by Cluster (then by first arrival, for determinism
-// when two distinct substrates tie on every component — impossible short
-// of a fingerprint collision, but cheap to pin down) and partitioned
-// into at most `workers` contiguous spans with balanced item counts.
+// Groups are sorted by Cluster. The sort is stable, so groups that tie
+// keep their first-arrival order; distinct groups never tie when
+// Substrate is derived from Cluster, as substrate.Keys.Combined is.
 func Build(items []Item, workers int) Plan {
 	if workers < 1 {
 		workers = 1
 	}
-	byKey := make(map[fingerprint.Key]*Group, len(items))
-	groups := make([]*Group, 0, len(items))
-	first := make(map[fingerprint.Key]int, len(items))
+	byKey := make(map[fingerprint.Key]int, len(items))
+	var groups []Group
 	for _, it := range items {
-		g, ok := byKey[it.Substrate]
+		gi, ok := byKey[it.Substrate]
 		if !ok {
-			g = &Group{Substrate: it.Substrate, Cluster: it.Cluster}
-			byKey[it.Substrate] = g
-			groups = append(groups, g)
-			first[it.Substrate] = it.Index
+			gi = len(groups)
+			byKey[it.Substrate] = gi
+			groups = append(groups, Group{Substrate: it.Substrate, Cluster: it.Cluster})
 		}
-		g.Indexes = append(g.Indexes, it.Index)
+		groups[gi].Indexes = append(groups[gi].Indexes, it.Index)
 	}
-	sort.SliceStable(groups, func(i, j int) bool {
-		if c := compareCluster(groups[i].Cluster, groups[j].Cluster); c != 0 {
-			return c < 0
-		}
-		return first[groups[i].Substrate] < first[groups[j].Substrate]
+	slices.SortStableFunc(groups, func(a, b Group) int {
+		return slices.CompareFunc(a.Cluster[:], b.Cluster[:], fingerprint.Key.Compare)
 	})
 
-	// Chunk groups wider than the balanced span size so a batch
-	// dominated by one substrate still fans out: the chunks stay
-	// adjacent (same sort position), so they run on neighboring workers
-	// at the same time and cost at most one extra generation per extra
-	// span even without singleflight.
-	if balanced := (len(items) + workers - 1) / workers; workers > 1 {
-		chunked := make([]*Group, 0, len(groups))
-		for _, g := range groups {
-			for len(g.Indexes) > balanced {
-				chunked = append(chunked, &Group{
-					Substrate: g.Substrate, Cluster: g.Cluster, Indexes: g.Indexes[:balanced],
-				})
-				g = &Group{Substrate: g.Substrate, Cluster: g.Cluster, Indexes: g.Indexes[balanced:]}
-			}
-			chunked = append(chunked, g)
+	// Chunk groups wider than the balanced share so a batch dominated by
+	// one substrate still fans out: the chunks stay adjacent, so workers
+	// claim them at the same time and cost at most one extra generation
+	// per extra chunk even without singleflight.
+	balanced := (len(items) + workers - 1) / workers
+	var p Plan
+	for _, g := range groups {
+		for len(g.Indexes) > balanced {
+			p.Groups = append(p.Groups, Group{Substrate: g.Substrate, Cluster: g.Cluster, Indexes: g.Indexes[:balanced]})
+			g.Indexes = g.Indexes[balanced:]
 		}
-		groups = chunked
-	}
-
-	p := Plan{Groups: make([]Group, len(groups))}
-	for i, g := range groups {
-		p.Groups[i] = *g
-	}
-
-	// Contiguous balanced partition: walk the sorted groups filling each
-	// span while it holds fewer than ceil(remaining/spansLeft) items, so
-	// every span reaches its target (overshooting by less than one group
-	// chunk) before the next span starts. Spans never undershoot, so
-	// targets are non-increasing from ceil(n/workers) and every span is
-	// bounded by ceil(n/workers) + maxChunk - 1 — the balance property
-	// plan_test pins. (The previous first-fit rule — skip a group that
-	// would overflow the target — let spans undershoot, and cascading
-	// undershoot piled the skipped groups onto the final worker, up to
-	// ~1.5x past that bound on adversarial group-size mixes.)
-	remaining := len(items)
-	gi := 0
-	for b := 0; b < workers && gi < len(groups); b++ {
-		spansLeft := workers - b
-		target := (remaining + spansLeft - 1) / spansLeft
-		var span []int
-		count := 0
-		for gi < len(groups) && count < target {
-			g := groups[gi]
-			span = append(span, g.Indexes...)
-			count += len(g.Indexes)
-			gi++
-		}
-		remaining -= count
-		p.Spans = append(p.Spans, span)
+		p.Groups = append(p.Groups, g)
 	}
 	return p
 }

@@ -285,8 +285,8 @@ func BenchmarkPlanBuild(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		n := 0
-		for _, span := range plan.Build(items, 8).Spans {
-			n += len(span)
+		for _, g := range plan.Build(items, 8).Groups {
+			n += len(g.Indexes)
 		}
 		if n != len(items) {
 			b.Fatal("plan dropped items")
